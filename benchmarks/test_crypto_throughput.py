@@ -1,21 +1,17 @@
 """Crypto throughput microbenchmark -- writes ``BENCH_crypto.json``.
 
 Not a paper figure: this file tracks the performance trajectory of the
-from-scratch RFC 8439 stack that every ``CryptoMode.REAL`` experiment
-pays for.  It measures MB/s per primitive across one shared message-size
-grid (every primitive covers every declared size -- a regression test
-asserts the artifact can never silently diverge again), locates both
-dispatch crossovers (single-message scalar/vector and multi-message
-batch, see :mod:`repro.tee.crypto.tuning`), measures the cross-message
-lane-batched seal against the sequential per-message path, and times a
-secure vs accounted :class:`~repro.core.cluster.RexCluster` run to show
-what the cipher costs end to end.
+RFC 8439 stack that every ``CryptoMode.REAL`` experiment pays for.  It
+measures MB/s per primitive across one shared message-size grid (every
+primitive covers every declared size -- a regression test asserts the
+artifact can never silently diverge again), locates the numpy kernel's
+scalar/vector dispatch crossover (see :mod:`repro.tee.crypto.tuning`),
+and times a secure vs accounted :class:`~repro.core.cluster.RexCluster`
+run on identical wire traffic.
 
 The JSON artifact is uploaded by the ``crypto-bench`` CI job, which
-fails if sealed AEAD throughput at the largest size drops below a
-pinned floor (``REPRO_BENCH_SEAL_FLOOR_MBPS``) or the batched 8-message
-seal stops beating the sequential numpy reference path by the pinned
-factor (``REPRO_BENCH_BATCH_FLOOR_SPEEDUP``).
+fails if AEAD seal or open throughput at the largest size drops below a
+pinned floor (``REPRO_BENCH_SEAL_FLOOR_MBPS``) on the resolved backend.
 """
 
 from __future__ import annotations
@@ -31,12 +27,12 @@ from repro.data.movielens import MovieLensSpec, generate_movielens
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
-from repro.tee.crypto.aead import ChaCha20Poly1305, seal_many
-from repro.tee.crypto.backend import aead_backend, native_available, set_aead_backend
+from repro.tee.crypto.aead import ChaCha20Poly1305
+from repro.tee.crypto.backend import aead_backend, native_available
 from repro.tee.crypto.chacha20 import chacha20_encrypt
 from repro.tee.crypto.fastchacha import chacha20_xor
 from repro.tee.crypto.poly1305 import poly1305_mac
-from repro.tee.crypto.tuning import measure_batch_crossover, measure_crossover
+from repro.tee.crypto.tuning import measure_crossover
 
 OUTPUT = "BENCH_crypto.json"
 
@@ -44,33 +40,17 @@ OUTPUT = "BENCH_crypto.json"
 #: and the per-primitive sample keys are asserted to match exactly.
 SIZES = [1024, 16384, 262144, 1048576]
 
-#: Fan-out of the batch-seal measurements (matches the 8-node profile).
-BATCH_MESSAGES = 8
-#: Per-message size of the headline batched-vs-sequential comparison.
-BATCH_MESSAGE_BYTES = 131072
-
 
 def _default_seal_floor() -> float:
-    """Backend-aware floor: OpenSSL-backed hosts must clear a much higher
-    bar than the portable NumPy kernel (reference container: ~2 GB/s
-    native, ~150 MB/s numpy at 1 MiB)."""
-    return 150.0 if native_available() else 40.0
+    """Backend-aware floor on seal and open at the largest size: OpenSSL-
+    backed hosts must clear a much higher bar than the portable NumPy
+    kernel (reference container: ~2.8 GB/s native, ~150 MB/s numpy at
+    1 MiB)."""
+    return 1000.0 if native_available() else 40.0
 
 
 SEAL_FLOOR_MBPS = float(
     os.environ.get("REPRO_BENCH_SEAL_FLOOR_MBPS", "") or _default_seal_floor()
-)
-
-#: Floor on ``batch_seal.speedup``: the lane-batched seal under the
-#: resolved default backend vs the sequential per-message numpy pipeline
-#: (the pre-batching release's hot path).  Numpy-only hosts get a
-#: no-regression bar instead: at 128 KiB per message the kernel-dispatch
-#: tax is already amortized, so same-backend batching is roughly parity
-#: there (its wins are small messages -- see the batch crossover -- and
-#: the native backend).
-BATCH_FLOOR_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_BATCH_FLOOR_SPEEDUP", "")
-    or ("1.5" if native_available() else "0.9")
 )
 
 KEY = bytes(range(32))
@@ -96,64 +76,6 @@ def _sweep(fn, *, reps_cap: int = 0) -> dict:
         reps = min(reps_cap, max(3, (1 << 21) // size)) if reps_cap else 0
         out[str(size)] = round(_throughput(fn, payload, reps=reps), 2)
     return out
-
-
-def _batch_requests(message_bytes: int, messages: int = BATCH_MESSAGES) -> list:
-    """One per-neighbor request list, distinct keys like distinct channels."""
-    requests = []
-    for i in range(messages):
-        cipher = ChaCha20Poly1305(bytes((k + i) % 256 for k in range(32)))
-        payload = bytes((j * 31 + i) % 256 for j in range(message_bytes))
-        requests.append((cipher, NONCE, payload, b""))
-    return requests
-
-
-def _batch_throughput(message_bytes: int, *, sequential: bool, reps: int = 5) -> float:
-    requests = _batch_requests(message_bytes)
-    aggregate = message_bytes * len(requests)
-    best = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        if sequential:
-            for cipher, nonce, payload, aad in requests:
-                cipher.encrypt(nonce, payload, aad)
-        else:
-            seal_many(requests)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return aggregate / best / 1e6
-
-
-def _batch_seal_section() -> dict:
-    """Headline batched-vs-sequential numbers, per backend, honestly
-    labeled: ``speedup`` compares the new default seal path (lane-batched
-    ``seal_many`` on the resolved backend) against the *previous
-    release's* path (sequential per-message numpy pipeline)."""
-    set_aead_backend("numpy")
-    sequential_numpy = _batch_throughput(BATCH_MESSAGE_BYTES, sequential=True)
-    batched_numpy = _batch_throughput(BATCH_MESSAGE_BYTES, sequential=False)
-    sequential_native = batched_native = None
-    if native_available():
-        set_aead_backend("native")
-        sequential_native = _batch_throughput(BATCH_MESSAGE_BYTES, sequential=True)
-        batched_native = _batch_throughput(BATCH_MESSAGE_BYTES, sequential=False)
-    set_aead_backend(None)
-    batched_default = _batch_throughput(BATCH_MESSAGE_BYTES, sequential=False)
-    section = {
-        "messages": BATCH_MESSAGES,
-        "message_bytes": BATCH_MESSAGE_BYTES,
-        "sequential_numpy_mbps": round(sequential_numpy, 2),
-        "batched_numpy_mbps": round(batched_numpy, 2),
-        "sequential_native_mbps": (
-            None if sequential_native is None else round(sequential_native, 2)
-        ),
-        "batched_native_mbps": None if batched_native is None else round(batched_native, 2),
-        "batched_default_mbps": round(batched_default, 2),
-        "speedup": round(batched_default / sequential_numpy, 2),
-        "speedup_numpy_only": round(batched_numpy / sequential_numpy, 2),
-        "speedup_floor": BATCH_FLOOR_SPEEDUP,
-    }
-    return section
 
 
 def _cluster_smoke() -> dict:
@@ -185,9 +107,6 @@ def _cluster_smoke() -> dict:
     # a single wire byte count, only the wall-clock.
     assert results["secure"]["network_bytes"] == results["accounted"]["network_bytes"]
     assert results["secure"]["network_messages"] == results["accounted"]["network_messages"]
-    results["crypto_overhead_s"] = round(
-        results["secure"]["wall_s"] - results["accounted"]["wall_s"], 3
-    )
     return results
 
 
@@ -203,17 +122,11 @@ def test_crypto_throughput():
         "poly1305": _sweep(lambda p: poly1305_mac(KEY, p)),
         "aead_seal": _sweep(lambda p: cipher.encrypt(NONCE, p)),
         "aead_open": {},
-        "aead_seal_batch8": {},
     }
     for size in SIZES:
         wire = cipher.encrypt(NONCE, bytes(i % 256 for i in range(size)))
         sweeps["aead_open"][str(size)] = round(
             _throughput(lambda _p, _w=wire: cipher.decrypt(NONCE, _w), b"\x00" * size), 2
-        )
-        # Batch-seal points on the shared grid: 8 messages whose payloads
-        # sum to the grid size, sealed in one seal_many invocation.
-        sweeps["aead_seal_batch8"][str(size)] = round(
-            _batch_throughput(size // BATCH_MESSAGES, sequential=False), 2
         )
 
     # Grid consistency: every primitive covers exactly the declared grid.
@@ -224,8 +137,6 @@ def test_crypto_throughput():
         )
 
     crossover = measure_crossover(time.perf_counter)
-    batch_crossover = measure_batch_crossover(time.perf_counter)
-    batch = _batch_seal_section()
     cluster = _cluster_smoke()
 
     doc = {
@@ -235,8 +146,6 @@ def test_crypto_throughput():
         "native_available": native_available(),
         "primitives": sweeps,
         "dispatch_crossover_bytes": crossover["threshold"],
-        "batch_crossover_bytes": batch_crossover["threshold"],
-        "batch_seal": batch,
         "cluster_smoke": cluster,
         "seal_floor_mbps": SEAL_FLOOR_MBPS,
     }
@@ -248,14 +157,6 @@ def test_crypto_throughput():
         for size, mbps in sweep.items():
             rows.append([name, size, f"{mbps:.1f}"])
     rows.append(["dispatch crossover", str(crossover["threshold"]), "bytes"])
-    rows.append(["batch crossover", str(batch_crossover["threshold"]), "bytes"])
-    rows.append(
-        [
-            f"batch seal {BATCH_MESSAGES}x{BATCH_MESSAGE_BYTES // 1024}K",
-            "-",
-            f"{batch['speedup']}x vs sequential numpy",
-        ]
-    )
     rows.append(["cluster secure", "-", f"{cluster['secure']['wall_s']:.3f} s"])
     rows.append(["cluster accounted", "-", f"{cluster['accounted']['wall_s']:.3f} s"])
     emit(
@@ -266,12 +167,9 @@ def test_crypto_throughput():
         )
     )
 
-    sealed_at_max = sweeps["aead_seal"][str(max(SIZES))]
-    assert sealed_at_max >= SEAL_FLOOR_MBPS, (
-        f"sealed throughput regressed: {sealed_at_max:.1f} MB/s at "
-        f"{max(SIZES)} bytes is below the {SEAL_FLOOR_MBPS} MB/s floor"
-    )
-    assert batch["speedup"] >= BATCH_FLOOR_SPEEDUP, (
-        f"batched seal regressed: {batch['speedup']}x vs the sequential "
-        f"numpy path is below the {BATCH_FLOOR_SPEEDUP}x floor"
-    )
+    for name in ("aead_seal", "aead_open"):
+        at_max = sweeps[name][str(max(SIZES))]
+        assert at_max >= SEAL_FLOOR_MBPS, (
+            f"{name} throughput regressed: {at_max:.1f} MB/s at "
+            f"{max(SIZES)} bytes is below the {SEAL_FLOOR_MBPS} MB/s floor"
+        )

@@ -793,10 +793,6 @@ class RexEnclaveApp(TrustedApp):
                 stats.shared_empty_messages += 1
             entries.append((self.channels[neighbor], plaintext, b""))
         sealed_before = [channel.sealed_bytes for channel, _, _ in entries]
-        # One batch seals the whole epoch's fan-out: every neighbor's
-        # payload runs through a single lane-kernel (or native AEAD)
-        # invocation, and each frame leaves here as the same buffer the
-        # ciphertext was written into -- no per-neighbor re-join.
         wires = seal_all(entries)
         for (channel, _, _), before, neighbor, wire in zip(
             entries, sealed_before, targets, wires

@@ -32,7 +32,7 @@ import struct
 from typing import List, Optional
 
 from repro.obs import MetricsRegistry
-from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH, seal_many_into
+from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.tee.errors import ChannelNotEstablished
 
 __all__ = [
@@ -148,49 +148,14 @@ class SecureChannel(ChannelAccounting):
 
 
 def seal_all(entries) -> List:
-    """Seal one epoch's outgoing messages across many channels at once.
+    """Seal one epoch's outgoing messages, in order.
 
     ``entries`` is a sequence of ``(channel, plaintext, aad)`` tuples in
-    send order.  Plain :class:`SecureChannel` instances are gathered into
-    one :func:`~repro.tee.crypto.aead.seal_many_into` batch -- a single
-    lane-kernel (or native) invocation seals every neighbor's payload --
-    while channels that override ``seal`` (:class:`AccountedChannel`,
-    :class:`PlaintextChannel`, test doubles) keep their own path, so the
-    crypto-fidelity knob is untouched.
-
-    Each frame is assembled exactly once: the sequence number is packed
-    into a preallocated buffer and ``ciphertext || tag`` is written
-    directly after it, so the returned wire frames (read-only memoryviews
-    for batched channels, whatever ``seal`` returned otherwise) are never
-    re-joined or recopied on their way to the transport.
-
-    Wire bytes, per-channel sequence numbers, and per-channel accounting
-    are identical to calling ``channel.seal`` once per entry in the same
-    order -- the pinned wire-digest test is the contract.
+    send order; returns one wire frame per entry from that channel's own
+    ``seal``, so sequence numbers, wire bytes and accounting are exactly
+    those of sealing each entry by hand.
     """
-    wires: List = [None] * len(entries)
-    batch_requests = []
-    batch_frames = []
-    batch_slots = []
-    for i, (channel, plaintext, aad) in enumerate(entries):
-        if type(channel) is SecureChannel:
-            seq = channel._send_seq
-            channel._send_seq += 1
-            frame = bytearray(8 + len(plaintext) + TAG_LENGTH)
-            struct.pack_into("<Q", frame, 0, seq)
-            nonce = SecureChannel._nonce(seq, channel.local_id)
-            batch_requests.append((channel._cipher, nonce, plaintext, aad))
-            batch_frames.append(frame)
-            batch_slots.append(i)
-        else:
-            wires[i] = channel.seal(plaintext, aad)
-    if batch_requests:
-        seal_many_into(batch_requests, [memoryview(f)[8:] for f in batch_frames])
-        for i, frame in zip(batch_slots, batch_frames):
-            channel = entries[i][0]
-            channel._record_seal(len(frame))
-            wires[i] = memoryview(frame).toreadonly()
-    return wires
+    return [channel.seal(plaintext, aad) for channel, plaintext, aad in entries]
 
 
 class AccountedChannel(SecureChannel):

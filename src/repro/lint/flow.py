@@ -149,13 +149,11 @@ _SANITIZER_FUNCS = frozenset(
         # points for the encoded bytes are audited by the boundary rules)
         "encode_triplets",
         "encode_snapshot",
-        # the batch AEAD seal: like the ``seal`` method, frames leaving
-        # these entry points are ciphertext (or the declared-accounted/
-        # plaintext channel modes, which share the call site and the
-        # audit story of the single-message path)
+        # the epoch AEAD seal: like the ``seal`` method it wraps, frames
+        # leaving it are ciphertext (or the declared-accounted/plaintext
+        # channel modes, which share the call site and the audit story
+        # of the single-message path)
         "seal_all",
-        "seal_many",
-        "seal_many_into",
         # the serving declassifier: released item ids + scores
         "batched_top_k",
     }

@@ -43,10 +43,10 @@ __all__ = ["Message", "Fate", "RetryPolicy", "Endpoint", "Network"]
 class Message:
     """One delivered payload.
 
-    ``payload`` is any read-only bytes-like object.  Sealed frames arrive
-    as read-only memoryviews of the sender's frame buffer (the zero-copy
-    contract of the batched seal path); consumers that need an owned copy
-    -- e.g. the corruption fault hook -- take it explicitly.
+    ``payload`` is any read-only bytes-like object: ``bytes`` as sealed,
+    or a read-only memoryview of a sender's buffer (see
+    :meth:`Endpoint.send`); consumers that need an owned copy -- e.g. the
+    corruption fault hook -- take it explicitly.
     """
 
     source: int
@@ -118,11 +118,10 @@ class Endpoint:
     def send(self, destination: int, payload: bytes, *, kind: str = "data") -> None:
         """Queue ``payload`` for ``destination`` (counted, in-order).
 
-        Immutable bytes-like payloads (``bytes``, read-only memoryviews
-        from the batch-seal path) ride through untouched -- the frame a
-        seal wrote is the frame the receiver opens.  Writable buffers are
-        wrapped in a read-only view so no copy is made yet nobody
-        downstream can mutate in-flight bytes.
+        ``bytes`` payloads ride through untouched -- the frame a seal
+        wrote is the frame the receiver opens.  Any other bytes-like
+        payload is wrapped in a read-only view so no copy is made yet
+        nobody downstream can mutate in-flight bytes.
         """
         if not isinstance(payload, bytes):
             view = payload if isinstance(payload, memoryview) else memoryview(payload)

@@ -18,9 +18,10 @@ Fast-path structure (the seal/open pipeline is fused end to end):
   pad || lengths`` is never materialized: :func:`~repro.tee.crypto.
   poly1305.poly1305_aead_tag` walks the segments (memoryviews of the wire
   buffer) directly, eliminating the pad/join copies per message.
-- **Measured dispatch.**  The scalar/vector crossover comes from
-  :mod:`~repro.tee.crypto.tuning` (a measured threshold, overridable per
-  deployment) instead of a hard-coded constant.
+- **Size dispatch.**  On the numpy backend, payloads below
+  :data:`~repro.tee.crypto.tuning.DEFAULT_FAST_PATH_THRESHOLD` (measured
+  on the reference container) take the unrolled scalar path; larger ones
+  take the vectorized kernel.
 
 All wire bytes are bit-identical to the unfused construction; tests pin
 both the RFC vectors and scalar/vector/fused equivalence.
@@ -32,9 +33,9 @@ import hmac
 
 from repro.tee.crypto import backend as _backend
 from repro.tee.crypto.chacha20 import chacha20_blocks
-from repro.tee.crypto.fastchacha import chacha20_seal_xor, chacha20_seal_xor_many
+from repro.tee.crypto.fastchacha import chacha20_seal_xor
 from repro.tee.crypto.poly1305 import poly1305_aead_tag
-from repro.tee.crypto.tuning import batch_path_threshold, fast_path_threshold
+from repro.tee.crypto.tuning import DEFAULT_FAST_PATH_THRESHOLD
 
 __all__ = [
     "AeadError",
@@ -42,9 +43,6 @@ __all__ = [
     "TAG_LENGTH",
     "NONCE_LENGTH",
     "KEY_LENGTH",
-    "open_many",
-    "seal_many",
-    "seal_many_into",
 ]
 
 TAG_LENGTH = 16
@@ -89,7 +87,7 @@ class ChaCha20Poly1305:
         Block 0 keys Poly1305, blocks 1.. carry the payload (RFC 8439
         sections 2.6/2.8) -- generated together on either path.
         """
-        if len(data) >= fast_path_threshold():
+        if len(data) >= DEFAULT_FAST_PATH_THRESHOLD:
             return chacha20_seal_xor(self._key, nonce, data)
         stream = chacha20_blocks(self._key, 0, nonce, 1 + (len(data) + 63) // 64)
         return stream[:32], _xor_bytes(data, stream[64:])
@@ -131,119 +129,3 @@ class ChaCha20Poly1305:
             raise AeadError("authentication tag mismatch")
         return plaintext
 
-
-def seal_many_into(requests, outs) -> None:
-    """Seal a whole batch of messages into caller-provided frames.
-
-    ``requests`` is a sequence of ``(cipher, nonce, plaintext, aad)``
-    tuples -- one per message, each with its *own* cipher (channel key) --
-    and ``outs[i]`` a writable buffer of exactly ``len(plaintext) +
-    TAG_LENGTH`` bytes that receives ``ciphertext || tag`` in place
-    (typically the sealed span of a preallocated wire frame, making the
-    epoch's frames zero-copy end to end).
-
-    Dispatch, in order:
-
-    - **native** backend: one OpenSSL call per message (its fused AEAD is
-      fast enough that cross-message batching cannot beat it);
-    - **numpy** backend, aggregate >= :func:`batch_path_threshold` and
-      more than one message: a single multi-message lane-kernel
-      invocation generates every message's keystream at once, then
-      Poly1305 runs per message over the in-frame ciphertext;
-    - otherwise: the per-message scalar/vector pipeline.
-
-    All three paths produce byte-identical wire output (RFC 8439 fixes
-    it); tests pin the equivalence.
-    """
-    m = len(requests)
-    if len(outs) != m:
-        raise ValueError("outs must provide one frame per request")
-    for (cipher, nonce, plaintext, _), out in zip(requests, outs):
-        if len(nonce) != NONCE_LENGTH:
-            raise ValueError(f"nonce must be {NONCE_LENGTH} bytes")
-        if len(out) != len(plaintext) + TAG_LENGTH:
-            raise ValueError("frame must hold ciphertext plus tag exactly")
-    if m == 0:
-        return
-
-    if _backend.aead_backend() == "native":
-        for (cipher, nonce, plaintext, aad), out in zip(requests, outs):
-            sealed = _backend.native_seal(cipher._key, nonce, plaintext, aad)
-            view = memoryview(out)
-            view[:] = sealed
-        return
-
-    aggregate = sum(len(plaintext) for _, _, plaintext, _ in requests)
-    if m > 1 and aggregate >= batch_path_threshold():
-        ct_views = [memoryview(out)[: len(pt)] for (_, _, pt, _), out in zip(requests, outs)]
-        lanes = [(cipher._key, nonce, pt) for cipher, nonce, pt, _ in requests]
-        sealed = chacha20_seal_xor_many(lanes, outs=ct_views)
-        for (poly_key, _), (_, _, _, aad), out, ct in zip(sealed, requests, outs, ct_views):
-            memoryview(out)[len(ct) :] = poly1305_aead_tag(poly_key, aad, ct)
-        return
-
-    for (cipher, nonce, plaintext, aad), out in zip(requests, outs):
-        view = memoryview(out)
-        view[:] = cipher.encrypt(nonce, plaintext, aad)
-
-
-def seal_many(requests) -> list:
-    """Batch seal returning one ``ciphertext || tag`` bytes per request.
-
-    Same dispatch as :func:`seal_many_into`; use the ``_into`` form when
-    the sealed bytes belong inside a larger frame.
-    """
-    outs = [bytearray(len(pt) + TAG_LENGTH) for _, _, pt, _ in requests]
-    seal_many_into(requests, outs)
-    return [bytes(out) for out in outs]
-
-
-def open_many(requests) -> list:
-    """Batch verify-and-decrypt; returns one plaintext per request.
-
-    ``requests`` is a sequence of ``(cipher, nonce, data, aad)`` tuples
-    (``data`` = ``ciphertext || tag``, any bytes-like).  On the numpy
-    backend a single lane-kernel invocation recovers every message's
-    Poly1305 key and candidate plaintext; *all* tags are checked before
-    any plaintext is released, and a single failure raises
-    :class:`AeadError` naming the message index -- a batch is an epoch,
-    and one forged frame poisons the epoch.
-    """
-    m = len(requests)
-    if m == 0:
-        return []
-    for _, nonce, data, _ in requests:
-        if len(nonce) != NONCE_LENGTH:
-            raise ValueError(f"nonce must be {NONCE_LENGTH} bytes")
-        if len(data) < TAG_LENGTH:
-            raise AeadError("ciphertext shorter than the authentication tag")
-
-    backend = _backend.aead_backend()
-    aggregate = sum(len(data) - TAG_LENGTH for _, _, data, _ in requests)
-    if backend == "numpy" and m > 1 and aggregate >= batch_path_threshold():
-        views = [memoryview(data) for _, _, data, _ in requests]
-        lanes = [
-            (cipher._key, nonce, view[:-TAG_LENGTH])
-            for (cipher, nonce, _, _), view in zip(requests, views)
-        ]
-        opened = chacha20_seal_xor_many(lanes)
-        failures = []
-        plaintexts = []
-        for i, ((poly_key, plaintext), (_, _, _, aad), view) in enumerate(
-            zip(opened, requests, views)
-        ):
-            expected = poly1305_aead_tag(poly_key, aad, view[:-TAG_LENGTH])
-            if not hmac.compare_digest(expected, view[-TAG_LENGTH:]):
-                failures.append(i)
-            plaintexts.append(plaintext)
-        if failures:
-            raise AeadError(f"authentication tag mismatch at batch index {failures[0]}")
-        return plaintexts
-
-    plaintexts = []
-    for i, (cipher, nonce, data, aad) in enumerate(requests):
-        try:
-            plaintexts.append(cipher.decrypt(nonce, data, aad))
-        except AeadError:
-            raise AeadError(f"authentication tag mismatch at batch index {i}") from None
-    return plaintexts

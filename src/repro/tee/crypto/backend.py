@@ -1,6 +1,6 @@
 """AEAD backend selection: portable NumPy kernel vs native OpenSSL.
 
-The NumPy lane kernel (:mod:`fastchacha` + :mod:`poly1305`) is the
+The NumPy kernel (:mod:`fastchacha` + :mod:`poly1305`) is the
 reference implementation -- auditable, dependency-light, and the thing
 our RFC-vector and oracle tests actually exercise.  On a box with the
 ``cryptography`` package installed, OpenSSL's fused ChaCha20-Poly1305

@@ -39,7 +39,6 @@ __all__ = [
     "chacha20_keystream",
     "chacha20_xor",
     "chacha20_seal_xor",
-    "chacha20_seal_xor_many",
 ]
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
@@ -188,154 +187,3 @@ def chacha20_seal_xor(key: bytes, nonce: bytes, data) -> tuple:
     np.bitwise_xor(payload, np.frombuffer(data, dtype=np.uint8), out=payload)
     return poly_key, payload.tobytes()
 
-
-def _keystream_bytes_many(keys, nonces, blocks: np.ndarray) -> np.ndarray:
-    """Concatenated keystreams for ``M`` messages as one lane matrix.
-
-    ``keys``/``nonces`` are length-``M`` sequences; ``blocks[i]`` is the
-    number of 64-byte blocks message ``i`` contributes (counters start at
-    0 per message).  All ``T = blocks.sum()`` lanes are stacked into one
-    state matrix and the 20 grouped rounds run *once* over every lane --
-    the per-call NumPy dispatch cost of the rounds loop is paid once per
-    epoch instead of once per neighbor.
-
-    Lane layout is an exact ragged concatenation: message ``i`` owns lane
-    columns ``starts[i] .. starts[i]+blocks[i]-1``, so mixed message sizes
-    waste zero pad lanes (contrast the padded-rectangle layout discussed
-    in DESIGN.md).  Returns a flat uint8 array of ``64 * T`` bytes,
-    block-major in lane order.
-    """
-    m = len(keys)
-    total = int(blocks.sum())
-    starts = np.zeros(m, dtype=np.int64)
-    np.cumsum(blocks[:-1], out=starts[1:])
-    msg_idx = np.repeat(np.arange(m, dtype=np.int64), blocks)
-
-    # Per-lane init words for rows 4..15 (key / counter / nonce); the
-    # constants row group is uniform across lanes, as in the single-
-    # message kernel.  ``astype`` normalizes to native order on BE hosts.
-    kw = np.frombuffer(b"".join(bytes(k) for k in keys), dtype="<u4")
-    kw = kw.astype(np.uint32, copy=False).reshape(m, 8)
-    nw = np.frombuffer(b"".join(bytes(v) for v in nonces), dtype="<u4")
-    nw = nw.astype(np.uint32, copy=False).reshape(m, 3)
-    counters = (np.arange(total, dtype=np.int64) - starts[msg_idx]).astype(np.uint32)
-
-    init = np.empty((12, total), dtype=np.uint32)
-    for i in range(8):
-        init[i] = kw[msg_idx, i]
-    init[8] = counters
-    for i in range(3):
-        init[9 + i] = nw[msg_idx, i]
-
-    # Working set per lane is ~180 B (state groups + scratch + init +
-    # output row); an unchunked 16k-lane matrix (~1 MiB aggregate) spills
-    # L2 and the rounds loop drops ~20%.  Processing the lane matrix in
-    # fixed-width chunks keeps the hot state resident; chunk width is a
-    # measured value (see DESIGN.md), small enough for commodity L2 yet
-    # wide enough that per-chunk dispatch overhead stays negligible.
-    out = np.empty((total, 16), dtype=np.uint32)
-    for lo in range(0, total, _LANE_CHUNK):
-        hi = min(lo + _LANE_CHUNK, total)
-        _run_lane_chunk(init[:, lo:hi], out[lo:hi])
-    if not _NATIVE_LE:
-        out = out.astype("<u4")
-    return out.reshape(-1).view(np.uint8)
-
-
-_LANE_CHUNK = 8192  # lanes (64 B blocks) per rounds invocation
-_WORKER_MIN_BYTES = 1 << 20  # aggregate floor for the process-pool dispatcher
-
-
-def _run_lane_chunk(init: np.ndarray, out: np.ndarray) -> None:
-    """Rounds + feed-forward for one slice of the lane matrix.
-
-    ``init`` is the ``(12, n)`` per-lane key/counter/nonce word slice;
-    ``out`` the matching ``(n, 16)`` keystream-word destination.
-    """
-    n = init.shape[1]
-    a_rows = np.empty((4, n), dtype=np.uint32)
-    b_rows = np.empty((5, n), dtype=np.uint32)
-    c_rows = np.empty((6, n), dtype=np.uint32)
-    d_rows = np.empty((7, n), dtype=np.uint32)
-    for i in range(4):
-        a_rows[i] = _CONSTANTS[i]
-    b_rows[0:4] = init[0:4]
-    c_rows[0:4] = init[4:8]
-    d_rows[0:4] = init[8:12]
-
-    scratch = (np.empty((4, n), dtype=np.uint32), np.empty((4, n), dtype=np.uint32))
-    _grouped_rounds((a_rows, b_rows, c_rows, d_rows), scratch)
-
-    with np.errstate(over="ignore"):
-        for i in range(4):
-            out[:, i] = a_rows[i]
-            out[:, i] += _CONSTANTS[i]
-            out[:, 4 + i] = b_rows[i]
-            out[:, 4 + i] += init[i]
-            out[:, 8 + i] = c_rows[i]
-            out[:, 8 + i] += init[4 + i]
-            out[:, 12 + i] = d_rows[i]
-            out[:, 12 + i] += init[8 + i]
-
-
-def chacha20_seal_xor_many(items, outs=None) -> list:
-    """Batch form of :func:`chacha20_seal_xor` over many messages.
-
-    ``items`` is a sequence of ``(key, nonce, data)`` triples, one per
-    message; every message gets its own block-0 Poly1305 key and payload
-    keystream (blocks 1..), exactly as the sequential pipeline would, but
-    all lanes run through the rounds in a single kernel invocation.
-
-    Returns a list of ``(poly_key, xored)`` pairs.  With ``outs`` (a
-    per-message sequence of writable buffers, ``len(outs[i]) ==
-    len(data_i)``) the XORed payload is written directly into the caller's
-    buffer -- e.g. the ciphertext span of a preallocated wire frame -- and
-    ``xored`` is that buffer; otherwise a fresh ``bytes`` is returned.
-
-    XOR is an involution, so passing ciphertexts decrypts: the pair then
-    reads ``(poly_key, plaintext)``.
-    """
-    m = len(items)
-    if m == 0:
-        return []
-    if outs is not None and len(outs) != m:
-        raise ValueError("outs must have one buffer per message")
-    keys = []
-    nonces = []
-    lens = np.empty(m, dtype=np.int64)
-    for i, (key, nonce, data) in enumerate(items):
-        n = len(data)
-        _check_params(key, 0, nonce, 1 + (n + 63) // 64)
-        keys.append(key)
-        nonces.append(nonce)
-        lens[i] = n
-    blocks = 1 + (lens + 63) // 64
-    stream = None
-    if int(lens.sum()) >= _WORKER_MIN_BYTES:
-        # Opt-in process-pool lane dispatcher (REPRO_AEAD_WORKERS): shards
-        # lane columns across cores for very large aggregate seals; falls
-        # back to the in-process kernel whenever the pool cannot help.
-        from repro.tee.crypto import workers
-
-        if workers.worker_count() > 1:
-            stream = workers.keystream_many_parallel(keys, nonces, blocks)
-    if stream is None:
-        stream = _keystream_bytes_many(keys, nonces, blocks)
-
-    results = []
-    base = 0
-    for i, (_, _, data) in enumerate(items):
-        n = int(lens[i])
-        poly_key = stream[base : base + 32].tobytes()
-        payload = stream[base + 64 : base + 64 + n]
-        if outs is None:
-            np.bitwise_xor(payload, np.frombuffer(data, dtype=np.uint8), out=payload)
-            results.append((poly_key, payload.tobytes()))
-        else:
-            dest = np.frombuffer(outs[i], dtype=np.uint8)
-            if dest.size != n:
-                raise ValueError("output buffer size must equal message size")
-            np.bitwise_xor(payload, np.frombuffer(data, dtype=np.uint8), out=dest)
-            results.append((poly_key, outs[i]))
-        base += int(blocks[i]) * 64
-    return results

@@ -1,120 +1,38 @@
-"""Measured scalar/vector dispatch tuning for the AEAD fast path.
+"""Measured scalar/vector dispatch threshold for the numpy AEAD path.
 
-The AEAD layer picks between the scalar ChaCha20 path (cheap per call,
-slow per byte) and the vectorized NumPy path (fixed dispatch overhead,
-fast per byte).  The crossover used to be a hard-coded constant; it is
-now a *measured* threshold:
+The numpy AEAD backend picks between the scalar ChaCha20 path (cheap per
+call, slow per byte) and the vectorized NumPy path (fixed dispatch
+overhead, fast per byte) by payload size:
 
+- :data:`DEFAULT_FAST_PATH_THRESHOLD` is the crossover measured on the
+  reference container and recorded in ``BENCH_crypto.json``; the AEAD
+  reads it directly.
 - :func:`measure_crossover` times both paths across a size sweep and
   returns the smallest size where the vectorized path wins.  The clock is
   **injected by the caller** (the crypto throughput benchmark passes
   ``time.perf_counter``) so this module performs no wall-clock reads of
   its own -- simulated-time determinism (lint rule REX-D001) is preserved
   and the measurement stays testable with a fake clock.
-- The shipped default below is the measured median from the committed
-  ``BENCH_crypto.json`` run; deployments on different hardware can pin
-  their own measurement via the ``REPRO_AEAD_FAST_THRESHOLD`` environment
-  variable without code changes.
 
-Thresholds only steer dispatch: both paths are bit-identical by
+The threshold only steers dispatch: both paths are bit-identical by
 construction and by test, so a mistuned threshold can cost speed, never
 correctness.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.tee.crypto.chacha20 import chacha20_encrypt
-from repro.tee.crypto.fastchacha import chacha20_seal_xor_many, chacha20_xor
+from repro.tee.crypto.fastchacha import chacha20_xor
 
-__all__ = [
-    "DEFAULT_FAST_PATH_THRESHOLD",
-    "DEFAULT_BATCH_PATH_THRESHOLD",
-    "batch_path_threshold",
-    "fast_path_threshold",
-    "measure_crossover",
-    "measure_batch_crossover",
-    "set_batch_path_threshold",
-    "set_fast_path_threshold",
-]
+__all__ = ["DEFAULT_FAST_PATH_THRESHOLD", "measure_crossover"]
 
 #: Measured on the reference container (see EXPERIMENTS.md, "Crypto
 #: throughput"): the unrolled scalar loop beats NumPy dispatch overhead
 #: up to roughly five keystream blocks (~270 us of fixed vector setup vs
 #: ~0.7 us/byte scalar cost; the sweep crosses at 384 bytes).
 DEFAULT_FAST_PATH_THRESHOLD = 384
-
-_ENV_VAR = "REPRO_AEAD_FAST_THRESHOLD"
-
-_override: Optional[int] = None
-
-
-def fast_path_threshold() -> int:
-    """Payload size in bytes at which the AEAD switches to the vector path.
-
-    Resolution order: :func:`set_fast_path_threshold` override, then the
-    ``REPRO_AEAD_FAST_THRESHOLD`` environment variable, then the shipped
-    measured default.
-    """
-    if _override is not None:
-        return _override
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_FAST_PATH_THRESHOLD
-
-
-def set_fast_path_threshold(value: Optional[int]) -> None:
-    """Pin (or with ``None`` clear) the in-process threshold override."""
-    global _override
-    _override = None if value is None else max(0, int(value))
-
-
-#: Separate crossover for the *multi-message* lane kernel: below this
-#: aggregate payload size (sum over all messages in a batch) the
-#: per-message scalar/vector pipeline wins; at or above it the stacked
-#: lane matrix amortizes its fixed dispatch cost across every lane.
-#: Measured on the reference container via :func:`measure_batch_crossover`
-#: (see EXPERIMENTS.md, "Crypto throughput, round two"): at 8-way fan-out
-#: the lane kernel already wins at 128 B aggregate (one vector dispatch
-#: for the whole epoch vs eight scalar per-message setups); at 2-way the
-#: crossover sits near ~600 B.  512 splits the realistic fan-out range.
-DEFAULT_BATCH_PATH_THRESHOLD = 512
-
-_BATCH_ENV_VAR = "REPRO_AEAD_BATCH_THRESHOLD"
-
-_batch_override: Optional[int] = None
-
-
-def batch_path_threshold() -> int:
-    """Aggregate batch size in bytes at which ``seal_many`` goes vectorized.
-
-    Resolution order mirrors :func:`fast_path_threshold`: in-process
-    override, then ``REPRO_AEAD_BATCH_THRESHOLD``, then the deployment-
-    wide ``REPRO_AEAD_FAST_THRESHOLD`` override (kept as the coarse knob:
-    pinning it scales both dispatch decisions), then the measured default.
-    """
-    if _batch_override is not None:
-        return _batch_override
-    for var in (_BATCH_ENV_VAR, _ENV_VAR):
-        env = os.environ.get(var)
-        if env:
-            try:
-                return max(0, int(env))
-            except ValueError:
-                continue
-    return DEFAULT_BATCH_PATH_THRESHOLD
-
-
-def set_batch_path_threshold(value: Optional[int]) -> None:
-    """Pin (or with ``None`` clear) the in-process batch threshold."""
-    global _batch_override
-    _batch_override = None if value is None else max(0, int(value))
 
 
 _SWEEP_SIZES = (32, 64, 128, 192, 256, 384, 512, 768, 1024)
@@ -160,49 +78,3 @@ def measure_crossover(
             break
     return {"threshold": threshold, "samples": samples}
 
-
-_BATCH_SWEEP_AGGREGATES = (128, 256, 512, 1024, 2048, 4096, 8192)
-
-
-def measure_batch_crossover(
-    clock: Callable[[], float],
-    *,
-    messages: int = 8,
-    aggregates: Sequence[int] = _BATCH_SWEEP_AGGREGATES,
-    repeats: int = 30,
-) -> dict:
-    """Locate the aggregate size where the lane-batched kernel wins.
-
-    Times the per-message scalar loop (what ``seal_many`` falls back to
-    for tiny epochs) against one multi-message lane-kernel invocation for
-    a ``messages``-way batch, across a sweep of *aggregate* payload sizes.
-    The clock is injected exactly as in :func:`measure_crossover`.
-    Returns ``{"threshold": int, "messages": int, "samples": {aggregate:
-    {"scalar_s": float, "batched_s": float}}}``; the threshold is over
-    aggregate bytes (the quantity :func:`batch_path_threshold` gates on).
-    """
-    key = bytes(range(32))
-    nonce = bytes(12)
-    samples = {}
-    for aggregate in sorted(aggregates):
-        per = max(1, aggregate // messages)
-        batch = [(key, nonce, bytes(per)) for _ in range(messages)]
-        scalar_best = batched_best = None
-        for _ in range(max(1, repeats)):
-            t0 = clock()
-            for _, _, payload in batch:
-                chacha20_encrypt(key, 1, nonce, payload)
-            t1 = clock()
-            chacha20_seal_xor_many(batch)
-            t2 = clock()
-            scalar_s, batched_s = t1 - t0, t2 - t1
-            scalar_best = scalar_s if scalar_best is None else min(scalar_best, scalar_s)
-            batched_best = batched_s if batched_best is None else min(batched_best, batched_s)
-        samples[aggregate] = {"scalar_s": scalar_best, "batched_s": batched_best}
-    threshold = max(samples) + 1
-    for aggregate in sorted(samples, reverse=True):
-        if samples[aggregate]["batched_s"] <= samples[aggregate]["scalar_s"]:
-            threshold = aggregate
-        else:
-            break
-    return {"threshold": threshold, "messages": messages, "samples": samples}

@@ -1,50 +1,43 @@
-"""Cross-message batched AEAD: byte identity, backends, overflow, wiring.
+"""Per-message AEAD across backends, the epoch seal helper, and the wire.
 
-The lane-batched seal (:func:`repro.tee.crypto.aead.seal_many`) is a pure
-performance path -- RFC 8439 fixes every wire byte, so batched, scalar,
-vectorized, worker-sharded and OpenSSL-native seals of the same requests
-must agree bit for bit.  These tests pin that contract from the kernel up
-to a full 8-node secure cluster run whose entire payload wire traffic is
+Every message is sealed by :meth:`~repro.tee.crypto.aead.
+ChaCha20Poly1305.encrypt` on the resolved backend: OpenSSL when the
+``cryptography`` package is importable, the portable numpy kernel
+otherwise.  RFC 8439 fixes every wire byte, so both backends -- and both
+sides of the numpy kernel's scalar/vector size dispatch -- must agree bit
+for bit.  These tests pin that contract from single messages, through
+:func:`~repro.core.channel.seal_all` batches (one epoch's fan-out), up to
+a full 8-node secure cluster run whose entire payload wire traffic is
 hashed against a frozen digest.
 """
 
 import hashlib
+import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
-from repro.core.channel import SecureChannel, seal_all
+from repro.core.channel import AccountedChannel, PlaintextChannel, SecureChannel, seal_all
 from repro.core.messages import KIND_PAYLOAD
 from repro.data.movielens import MovieLensSpec, generate_movielens
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.tee.crypto import backend as backend_mod
-from repro.tee.crypto.aead import (
-    AeadError,
-    ChaCha20Poly1305,
-    TAG_LENGTH,
-    open_many,
-    seal_many,
-    seal_many_into,
-)
+from repro.tee.crypto.aead import AeadError, ChaCha20Poly1305, TAG_LENGTH
 from repro.tee.crypto.backend import aead_backend, native_available, set_aead_backend
 from repro.tee.crypto.chacha20 import chacha20_blocks, chacha20_encrypt
-from repro.tee.crypto.fastchacha import chacha20_seal_xor_many, chacha20_xor
-from repro.tee.crypto.tuning import (
-    DEFAULT_BATCH_PATH_THRESHOLD,
-    batch_path_threshold,
-    measure_batch_crossover,
-    set_batch_path_threshold,
-)
-from repro.tee.crypto.workers import keystream_many_parallel, worker_count
+from repro.tee.crypto.fastchacha import chacha20_xor
+from repro.tee.crypto.tuning import DEFAULT_FAST_PATH_THRESHOLD
 
 #: Every dispatch-sensitive message length: empty, single byte, one
-#: keystream block +/- 1, two blocks +/- 1, and a multi-block tail.
-BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 255, 1000, 4096]
+#: keystream block +/- 1, two blocks +/- 1, both sides of the numpy
+#: scalar/vector crossover (384 B), and multi-block tails.
+BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 255, 383, 384, 385, 1000, 4096]
+
+assert min(BOUNDARY_LENGTHS) < DEFAULT_FAST_PATH_THRESHOLD < max(BOUNDARY_LENGTHS)
 
 
 def _key(i: int) -> bytes:
@@ -66,34 +59,67 @@ def _requests(lengths):
     ]
 
 
+def _seal_each(requests, backend=None):
+    """One ``encrypt`` per message, optionally under a forced backend."""
+    set_aead_backend(backend)
+    try:
+        return [cipher.encrypt(nonce, pt, aad) for cipher, nonce, pt, aad in requests]
+    finally:
+        set_aead_backend(None)
+
+
 @pytest.fixture()
 def numpy_backend():
-    """Force the portable kernel and the batch path, restore after."""
+    """Force the portable kernel, restore after."""
     set_aead_backend("numpy")
-    set_batch_path_threshold(0)
     yield
     set_aead_backend(None)
-    set_batch_path_threshold(None)
 
 
-def _sequential_reference(requests):
-    """The pre-batching hot path: one scalar/vector seal per message."""
-    return [cipher.encrypt(nonce, pt, aad) for cipher, nonce, pt, aad in requests]
+def _channel_pairs(n):
+    """``n`` (sender, receiver) SecureChannel pairs, distinct keys."""
+    return [
+        (
+            SecureChannel(_key(i), local_id=1, peer_id=2 + i),
+            SecureChannel(_key(i), local_id=2 + i, peer_id=1),
+        )
+        for i in range(n)
+    ]
+
+
+def _numpy_frames(lengths):
+    """The frames a numpy-backend per-channel seal produces for
+    ``_channel_pairs(len(lengths))`` and ``_payload(i, n)``."""
+    set_aead_backend("numpy")
+    try:
+        return [
+            tx.seal(_payload(i, n), b"h%d" % i)
+            for i, ((tx, _), n) in enumerate(zip(_channel_pairs(len(lengths)), lengths))
+        ]
+    finally:
+        set_aead_backend(None)
 
 
 class TestBatchByteIdentity:
-    def test_boundary_mix_matches_sequential(self, numpy_backend):
-        requests = _requests(BOUNDARY_LENGTHS)
-        assert seal_many(requests) == _sequential_reference(requests)
+    """A batch is one epoch's fan-out: either the messages of one sealing
+    loop or the entries of one :func:`seal_all` call.  Under the default
+    backend it must reproduce the numpy kernel's per-message frames."""
+
+    def _seal_all_frames(self, lengths):
+        pairs = _channel_pairs(len(lengths))
+        wires = seal_all(
+            [(tx, _payload(i, n), b"h%d" % i) for i, ((tx, _), n) in enumerate(zip(pairs, lengths))]
+        )
+        for i, ((_, rx), n, wire) in enumerate(zip(pairs, lengths, wires)):
+            assert rx.open(wire, aad=b"h%d" % i) == _payload(i, n)
+        return [bytes(w) for w in wires]
+
+    def test_boundary_mix_matches_sequential(self):
+        assert self._seal_all_frames(BOUNDARY_LENGTHS) == _numpy_frames(BOUNDARY_LENGTHS)
 
     def test_default_backend_matches_numpy_reference(self):
         requests = _requests(BOUNDARY_LENGTHS)
-        set_aead_backend("numpy")
-        try:
-            reference = _sequential_reference(requests)
-        finally:
-            set_aead_backend(None)
-        assert seal_many(requests) == reference
+        assert _seal_each(requests) == _seal_each(requests, "numpy")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -104,89 +130,36 @@ class TestBatchByteIdentity:
         )
     )
     def test_fuzzed_batches_match_sequential(self, lengths):
-        set_aead_backend("numpy")
-        set_batch_path_threshold(0)
-        try:
-            requests = _requests(lengths)
-            assert seal_many(requests) == _sequential_reference(requests)
-        finally:
-            set_aead_backend(None)
-            set_batch_path_threshold(None)
+        assert self._seal_all_frames(lengths) == _numpy_frames(lengths)
 
-    def test_multi_mib_batch_matches_sequential(self, numpy_backend):
+    def test_multi_mib_batch_matches_sequential(self):
         lengths = [(1 << 20) + 3, (1 << 19) - 1, 1 << 20]
-        requests = _requests(lengths)
-        assert seal_many(requests) == _sequential_reference(requests)
+        assert self._seal_all_frames(lengths) == _numpy_frames(lengths)
 
-    def test_seal_many_into_fills_frames_in_place(self, numpy_backend):
-        requests = _requests([0, 65, 1024])
-        frames = [bytearray(len(pt) + TAG_LENGTH) for _, _, pt, _ in requests]
-        seal_many_into(requests, [memoryview(f) for f in frames])
-        assert [bytes(f) for f in frames] == _sequential_reference(requests)
+    def test_empty_batch(self):
+        assert seal_all([]) == []
 
-    def test_seal_many_into_rejects_misfit_frame(self, numpy_backend):
-        requests = _requests([64])
-        with pytest.raises(ValueError, match="ciphertext plus tag"):
-            seal_many_into(requests, [bytearray(64)])
-
-    def test_empty_batch(self, numpy_backend):
-        assert seal_many([]) == []
-        assert open_many([]) == []
-
-    def test_kernel_involution(self, numpy_backend):
-        # XORing the ciphertext with the same keystream restores the
-        # plaintext, and both passes hand back the same Poly1305 key.
-        lanes = [(_key(i), _nonce(i), _payload(i, n)) for i, n in enumerate([65, 0, 4096])]
-        sealed = chacha20_seal_xor_many(lanes)
-        reopened = chacha20_seal_xor_many(
-            [(k, n, ct) for (k, n, _), (_, ct) in zip(lanes, sealed)]
-        )
-        for (pk_a, _), (pk_b, pt), (_, _, original) in zip(sealed, reopened, lanes):
-            assert pk_a == pk_b
-            assert pt == original
-
-
-class TestOpenMany:
-    def test_roundtrip(self, numpy_backend):
+    def test_each_backend_opens_the_other(self):
         requests = _requests(BOUNDARY_LENGTHS)
-        wires = seal_many(requests)
-        opened = open_many(
-            [(c, n, w, a) for (c, n, _, a), w in zip(requests, wires)]
-        )
-        assert opened == [pt for _, _, pt, _ in requests]
-
-    def test_tamper_names_batch_index(self, numpy_backend):
-        requests = _requests([64, 64, 64, 64])
-        wires = [bytearray(w) for w in seal_many(requests)]
-        wires[2][5] ^= 0x40
-        with pytest.raises(AeadError, match="batch index 2"):
-            open_many([(c, n, bytes(w), a) for (c, n, _, a), w in zip(requests, wires)])
-
-    def test_tamper_index_on_sequential_path(self):
-        # Small aggregate -> per-message fallback; index contract holds.
-        requests = _requests([4, 4, 4])
-        wires = [bytearray(w) for w in seal_many(requests)]
-        wires[1][0] ^= 0x01
-        with pytest.raises(AeadError, match="batch index 1"):
-            open_many([(c, n, bytes(w), a) for (c, n, _, a), w in zip(requests, wires)])
-
-    def test_short_wire_rejected(self, numpy_backend):
-        cipher = ChaCha20Poly1305(_key(0))
-        with pytest.raises(AeadError, match="shorter than"):
-            open_many([(cipher, _nonce(0), b"\x00" * 8, b"")])
+        for sealer, opener in (("numpy", None), (None, "numpy")):
+            wires = _seal_each(requests, sealer)
+            set_aead_backend(opener)
+            try:
+                for (cipher, nonce, pt, aad), wire in zip(requests, wires):
+                    assert cipher.decrypt(nonce, wire, aad) == pt
+                    tampered = bytearray(wire)
+                    tampered[len(pt) // 2] ^= 0x40
+                    with pytest.raises(AeadError):
+                        cipher.decrypt(nonce, bytes(tampered), aad)
+            finally:
+                set_aead_backend(None)
 
 
 class TestAgainstOpenSslOracle:
-    def test_batched_path_matches_oracle(self):
+    def test_numpy_path_matches_oracle(self):
         aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
-        set_aead_backend("numpy")
-        set_batch_path_threshold(0)
-        try:
-            requests = _requests(BOUNDARY_LENGTHS)
-            wires = seal_many(requests)
-        finally:
-            set_aead_backend(None)
-            set_batch_path_threshold(None)
+        requests = _requests(BOUNDARY_LENGTHS)
+        wires = _seal_each(requests, "numpy")
         for (cipher, nonce, pt, aad), wire in zip(requests, wires):
             oracle = aead.ChaCha20Poly1305(cipher._key).encrypt(nonce, pt, aad or None)
             assert wire == oracle
@@ -222,16 +195,7 @@ class TestBackends:
     @pytest.mark.skipif(not native_available(), reason="cryptography not installed")
     def test_native_and_numpy_wires_identical(self):
         requests = _requests(BOUNDARY_LENGTHS)
-        set_aead_backend("native")
-        try:
-            native_wires = seal_many(requests)
-        finally:
-            set_aead_backend(None)
-        set_aead_backend("numpy")
-        try:
-            assert seal_many(requests) == native_wires
-        finally:
-            set_aead_backend(None)
+        assert _seal_each(requests, "native") == _seal_each(requests, "numpy")
 
     @pytest.mark.skipif(not native_available(), reason="cryptography not installed")
     def test_native_open_rejects_tamper(self):
@@ -244,27 +208,6 @@ class TestBackends:
                 cipher.decrypt(_nonce(1), bytes(wire), b"hdr")
         finally:
             set_aead_backend(None)
-
-
-class TestWorkers:
-    def test_worker_count_parses_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_WORKERS", raising=False)
-        assert worker_count() == 0
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "banana")
-        assert worker_count() == 0
-
-    def test_parallel_disabled_returns_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_WORKERS", raising=False)
-        blocks = np.array([4, 4], dtype=np.int64)
-        assert keystream_many_parallel([_key(0), _key(1)], [_nonce(0), _nonce(1)], blocks) is None
-
-    def test_sharded_seal_matches_sequential(self, monkeypatch, numpy_backend):
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "2")
-        # Aggregate above the 1 MiB worker gate so the pool engages.
-        requests = _requests([700_000, 500_000, 123_457])
-        assert seal_many(requests) == _sequential_reference(requests)
 
 
 class TestCounterOverflow:
@@ -291,64 +234,6 @@ class TestCounterOverflow:
         # request would otherwise try to materialize a 128 GiB keystream.
         with pytest.raises(ValueError, match="counter overflow"):
             chacha20_blocks(self.KEY, 1 << 31, self.NONCE, (1 << 31) + 1)
-
-
-class TestBatchTuning:
-    def teardown_method(self):
-        set_batch_path_threshold(None)
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_BATCH_THRESHOLD", raising=False)
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        assert batch_path_threshold() == DEFAULT_BATCH_PATH_THRESHOLD
-
-    def test_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "9999")
-        set_batch_path_threshold(7)
-        assert batch_path_threshold() == 7
-        set_batch_path_threshold(None)
-        assert batch_path_threshold() == 9999
-
-    def test_batch_env_beats_fast_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "111")
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "222")
-        assert batch_path_threshold() == 111
-
-    def test_fast_env_is_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_BATCH_THRESHOLD", raising=False)
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "333")
-        assert batch_path_threshold() == 333
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "not-a-number")
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        assert batch_path_threshold() == DEFAULT_BATCH_PATH_THRESHOLD
-
-    @staticmethod
-    def _fake_clock(pattern):
-        # measure_batch_crossover reads the clock 3x per repeat
-        # (t0, scalar, t1, batched, t2); the pattern fixes the deltas.
-        state = {"i": 0}
-
-        def clock():
-            v = pattern[state["i"] % 3] + 10.0 * (state["i"] // 3)
-            state["i"] += 1
-            return v
-
-        return clock
-
-    def test_crossover_batched_always_wins(self):
-        res = measure_batch_crossover(
-            self._fake_clock([0.0, 2.0, 3.0]), aggregates=(128, 256, 512), repeats=1
-        )
-        assert res["threshold"] == 128
-        assert res["messages"] == 8
-
-    def test_crossover_batched_never_wins(self):
-        res = measure_batch_crossover(
-            self._fake_clock([0.0, 1.0, 3.0]), aggregates=(128, 256, 512), repeats=1
-        )
-        assert res["threshold"] == 513
 
 
 class TestSealAll:
@@ -379,6 +264,41 @@ class TestSealAll:
         before = tx.sealed_bytes
         wires = seal_all([(tx, b"x" * 100, b"")])
         assert tx.sealed_bytes - before == len(wires[0]) == 8 + 100 + TAG_LENGTH
+
+    def test_mixed_channels_keep_order_sequence_and_accounting(self):
+        key = bytes(range(32))
+        secure_a = SecureChannel(key, local_id=1, peer_id=2)
+        secure_b = SecureChannel(key, local_id=1, peer_id=3)
+        accounted = AccountedChannel(key, local_id=1, peer_id=4)
+        plain = PlaintextChannel(local_id=1, peer_id=5)
+        receivers = {
+            id(secure_a): SecureChannel(key, local_id=2, peer_id=1),
+            id(secure_b): SecureChannel(key, local_id=3, peer_id=1),
+        }
+        order = [secure_a, accounted, secure_a, plain, secure_b, accounted, plain]
+        payloads = [_payload(i, 40 + 97 * i) for i in range(len(order))]
+        wires = seal_all([(ch, p, b"h%d" % i) for i, (ch, p) in enumerate(zip(order, payloads))])
+
+        assert len(wires) == len(order)
+        expected_seq = {id(secure_a): [0, 1], id(secure_b): [0], id(accounted): [0, 1]}
+        for i, (channel, payload, wire) in enumerate(zip(order, payloads, wires)):
+            wire = bytes(wire)
+            if channel is plain:
+                assert wire == payload
+                continue
+            (seq,) = struct.unpack_from("<Q", wire, 0)
+            assert seq == expected_seq[id(channel)].pop(0)
+            assert len(wire) == 8 + len(payload) + TAG_LENGTH
+            if channel is accounted:
+                assert wire == struct.pack("<Q", seq) + payload + bytes(TAG_LENGTH)
+            else:
+                assert receivers[id(channel)].open(wire, aad=b"h%d" % i) == payload
+        assert all(not left for left in expected_seq.values())
+
+        for channel in (secure_a, secure_b, accounted, plain):
+            mine = [len(w) for ch, w in zip(order, wires) if ch is channel]
+            assert channel.sealed_messages == len(mine)
+            assert channel.sealed_bytes == sum(mine)
 
 
 class TestPinnedClusterWire:

@@ -24,15 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel import SecureChannel
+from repro.tee.crypto import aead as aead_mod
 from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
+from repro.tee.crypto.backend import set_aead_backend
 from repro.tee.crypto.chacha20 import chacha20_block, chacha20_blocks, chacha20_encrypt
 from repro.tee.crypto.fastchacha import chacha20_seal_xor, chacha20_xor
 from repro.tee.crypto.poly1305 import poly1305_aead_tag, poly1305_mac
-from repro.tee.crypto.tuning import (
-    fast_path_threshold,
-    measure_crossover,
-    set_fast_path_threshold,
-)
+from repro.tee.crypto.tuning import measure_crossover
 
 #: Exercises every dispatch regime: empty, sub-block, one-block +/- 1,
 #: scalar-Horner territory, and the lane path around its 16 KiB blocks.
@@ -181,25 +179,30 @@ class TestChaChaEquivalence:
 
 class TestSealPipelineDispatch:
     @pytest.fixture(autouse=True)
-    def _restore_threshold(self):
+    def _numpy_backend(self):
+        # The size dispatch lives in the portable pipeline; the native
+        # backend would bypass it entirely.
+        set_aead_backend("numpy")
         yield
-        set_fast_path_threshold(None)
+        set_aead_backend(None)
 
     @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
-    def test_both_dispatch_paths_byte_identical(self, length):
+    def test_both_dispatch_paths_byte_identical(self, length, monkeypatch):
         rng = np.random.default_rng(7000 + length)
         key = bytes(rng.integers(0, 256, 32, dtype=np.uint8))
         nonce = bytes(rng.integers(0, 256, 12, dtype=np.uint8))
         pt = bytes(rng.integers(0, 256, length, dtype=np.uint8))
         aad = b"profile-header"
         cipher = ChaCha20Poly1305(key)
-        set_fast_path_threshold(1 << 30)  # force the scalar pipeline
+        # force the scalar pipeline
+        monkeypatch.setattr(aead_mod, "DEFAULT_FAST_PATH_THRESHOLD", 1 << 30)
         scalar_wire = cipher.encrypt(nonce, pt, aad)
-        set_fast_path_threshold(0)  # force the fused vector pipeline
+        # force the fused vector pipeline
+        monkeypatch.setattr(aead_mod, "DEFAULT_FAST_PATH_THRESHOLD", 0)
         vector_wire = cipher.encrypt(nonce, pt, aad)
         assert scalar_wire == vector_wire
         assert cipher.decrypt(nonce, vector_wire, aad) == pt
-        set_fast_path_threshold(1 << 30)
+        monkeypatch.setattr(aead_mod, "DEFAULT_FAST_PATH_THRESHOLD", 1 << 30)
         assert cipher.decrypt(nonce, vector_wire, aad) == pt
 
     def test_decrypt_accepts_memoryview(self):
@@ -209,26 +212,6 @@ class TestSealPipelineDispatch:
 
 
 class TestTuning:
-    @pytest.fixture(autouse=True)
-    def _restore_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        yield
-        set_fast_path_threshold(None)
-
-    def test_override_wins(self):
-        set_fast_path_threshold(12345)
-        assert fast_path_threshold() == 12345
-        set_fast_path_threshold(None)
-        assert fast_path_threshold() != 12345
-
-    def test_env_var_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "777")
-        assert fast_path_threshold() == 777
-
-    def test_env_var_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "not-a-number")
-        assert fast_path_threshold() > 0
-
     def test_measure_crossover_fake_clock_vector_always_wins(self):
         # Clock pattern per (t0, t1, t2) triple: scalar takes 2 ticks,
         # vector takes 1, so the vector path wins at every size and the
