@@ -16,6 +16,9 @@ once* (the HPC guide's "vectorize the outer loop" rule):
 - **test** -- all nodes' local test sets are concatenated once and every
   epoch evaluates them in a single gather + einsum.
 
+Epochs are scheduled as ``fleet.epoch`` events on the shared
+:class:`~repro.sim.kernel.EventKernel`, like every other simulation path.
+
 The protocol semantics (epoch barrier, merge-train-share-test order,
 stateless share sampling, duplicate suppression) are identical to the
 distributed enclave runtime in :mod:`repro.core`; an integration test
@@ -212,7 +215,7 @@ class MfFleetSim:
         )
 
         #: The event kernel driving the most recent ``run`` (``None``
-        #: before the first run or after a legacy-driver run).
+        #: before the first run).
         self.kernel: Optional[EventKernel] = None
 
     # ------------------------------------------------------------------ #
@@ -434,24 +437,18 @@ class MfFleetSim:
     # ------------------------------------------------------------------ #
     # The run loop
     # ------------------------------------------------------------------ #
-    def run(
-        self, obs: Optional[Observability] = None, *, driver: str = "kernel"
-    ) -> RunResult:
+    def run(self, obs: Optional[Observability] = None) -> RunResult:
         """Execute ``config.epochs`` epochs and return the full record.
 
         With an :class:`~repro.obs.Observability` the run also emits the
         shared per-epoch span/counter schema (see :mod:`repro.obs.stages`).
 
-        ``driver`` selects the scheduler: ``"kernel"`` (default)
-        registers each epoch as a ``fleet.epoch`` event on an
-        :class:`~repro.sim.kernel.EventKernel` -- the production path
-        every other event source (transport ticks, chaos schedules,
-        serving ticks) composes with -- while ``"legacy"`` keeps the
-        seed's plain epoch loop as the behavior oracle.  The parity
-        regression test pins that both drivers produce identical records.
+        Each epoch is a ``fleet.epoch`` event on an
+        :class:`~repro.sim.kernel.EventKernel` -- the scheduler every
+        other event source (transport ticks, chaos schedules, serving
+        ticks) composes with -- fired at the previous epoch's barrier
+        time.  A golden regression test pins every epoch record.
         """
-        if driver not in ("kernel", "legacy"):
-            raise ValueError(f"unknown driver {driver!r}; use 'kernel' or 'legacy'")
         cfg = self.config
         self._obs = obs
         self._timer = StageTimer(
@@ -475,12 +472,6 @@ class MfFleetSim:
         self._pending_samples: Optional[List[np.ndarray]] = None
         self._pending_recipients: Optional[np.ndarray] = None
 
-        if driver == "legacy":
-            self.kernel = None
-            for epoch in range(cfg.epochs):
-                self._epoch_step(epoch)
-            return result
-
         kernel = self.kernel = EventKernel()
 
         def fire(epoch: int) -> None:
@@ -501,8 +492,8 @@ class MfFleetSim:
     def _epoch_step(self, epoch: int) -> None:
         """One full protocol epoch (merge -> train -> share -> test).
 
-        All nodes advance together in vectorized stage calls; the caller
-        (legacy loop or event kernel) owns only the scheduling.
+        All nodes advance together in vectorized stage calls; the event
+        kernel in :meth:`run` owns only the scheduling.
         """
         cfg = self.config
         obs = self._obs

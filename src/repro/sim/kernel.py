@@ -1,14 +1,14 @@
 """Event-driven simulated-clock kernel shared by every simulation path.
 
-The paper's evaluation tops out at a few hundred nodes because each
-execution path owns its own ad-hoc loop: the fleet simulators iterate
-``for epoch in range(...)``, the distributed cluster pumps hosts in a
-``while`` loop, the serving layer drives ticks by hand.  Scaling to
-thousand-node fleets needs the structure every large discrete-event
-simulator uses (the cycle-batched dissemination loop of gossip/blockchain
-simulators): **one priority queue of timestamped events** that training
-epochs, transport ticks, fault/chaos schedules, and serving ticks all
-register against.
+Every execution path schedules its work here rather than in an ad-hoc
+loop: fleet-simulator epochs (``fleet.epoch``), distributed-cluster pump
+cycles and transport/chaos ticks (``cluster.pump``, ``net.tick``,
+``faults.tick``, ...), and serving ticks (``serve.tick``,
+``serve.fleet.route``).  This is the structure every large
+discrete-event simulator uses (the cycle-batched dissemination loop of
+gossip/blockchain simulators): **one priority queue of timestamped
+events** that all of them register against, which is what lets fleets
+scale to thousands of nodes and lets the sources compose in one run.
 
 Determinism is the contract here, pinned two ways:
 

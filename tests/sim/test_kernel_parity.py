@@ -1,13 +1,25 @@
-"""Parity contract: kernel-driven execution == legacy loops, exactly.
+"""Golden contract: the kernel-driven loops reproduce recorded runs exactly.
 
-The event kernel replaced the hand-rolled per-epoch / pump loops as the
-default driver.  The legacy loops stay in-tree as the oracle, and this
-module pins the contract that makes the refactor provably
-behavior-preserving: at a fixed seed, the kernel-driven cluster produces
-**byte-identical per-epoch wire traffic** and **exactly equal RMSE** —
-not allclose; bit-equal floats — at 8 and 32 nodes, and the kernel-driven
-fleet simulator reproduces the legacy epoch records field for field.
+Every cluster, fleet and serving run is scheduled by the event kernel.
+These tests pin its output at fixed seeds to values recorded before the
+seed's hand-rolled loops were retired (the loops were pinned identical
+to the kernel path until then), so any scheduling change that moves a
+byte or a float bit fails here:
+
+- cluster at 8 and 32 nodes: epochs completed, per-epoch per-node
+  ``shared_payload_bytes`` and ``test_rmse`` bit patterns (``float.hex``)
+  and ``total_network_bytes``;
+- fleet simulator: every :class:`~repro.sim.recorder.EpochRecord` field,
+  floats as ``float.hex``, plus the kernel trace digest;
+- serving: the ``run_trace`` completion schedule.
+
+Long per-node lists are pinned through a SHA-256 over their rows; the
+totals next to each digest are pinned as literals so a failure shows
+which quantity moved.
 """
+
+import dataclasses
+import hashlib
 
 import pytest
 
@@ -18,9 +30,18 @@ from repro.net.topology import Topology
 from repro.sim.fleet import MfFleetSim
 
 
+def _rows_digest(rows):
+    """SHA-256 over ``repr`` of each row, one row per line."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def _config(n_nodes, epochs=3):
     # 32 enclaves x real AEAD is needless cipher work for a scheduling
-    # parity test; ACCOUNTED mode is byte-identical on the wire.
+    # golden test; ACCOUNTED mode is byte-identical on the wire.
     return RexConfig(
         scheme=SharingScheme.DATA,
         dissemination=Dissemination.DPSGD,
@@ -32,7 +53,7 @@ def _config(n_nodes, epochs=3):
     )
 
 
-def _cluster_run(tiny_split, n_nodes, driver):
+def _cluster_run(tiny_split, n_nodes):
     train = partition_users_across_nodes(tiny_split.train, n_nodes, seed=2)
     test = partition_users_across_nodes(tiny_split.test, n_nodes, seed=2)
     topology = (
@@ -41,44 +62,57 @@ def _cluster_run(tiny_split, n_nodes, driver):
         else Topology.small_world(n_nodes, k=6, seed=3)
     )
     cluster = RexCluster(topology, _config(n_nodes))
-    return cluster.run(
-        train, test, global_mean=tiny_split.train.global_mean(), driver=driver
-    )
+    return cluster.run(train, test, global_mean=tiny_split.train.global_mean())
+
+
+#: n_nodes -> (epochs, per-epoch payload bytes summed over nodes,
+#: total_network_bytes, digest of (epoch, node, payload bytes, rmse.hex())).
+CLUSTER_GOLDEN = {
+    8: (
+        3,
+        [16576, 16576, 16576],
+        64904,
+        "24fdcd0588731ea4672fae6dda43469e285e1d235ec3ce73ac1a3dea1a6ac352",
+    ),
+    32: (
+        3,
+        [56832, 56832, 56832],
+        206614,
+        "fb1838a460833e681c0b6b1fb6d1ebdaac0126498d4854b2528a46ede1dc6086",
+    ),
+}
 
 
 @pytest.mark.parametrize("n_nodes", [8, 32])
-def test_cluster_kernel_matches_legacy(tiny_split, n_nodes):
-    kernel_run = _cluster_run(tiny_split, n_nodes, "kernel")
-    legacy_run = _cluster_run(tiny_split, n_nodes, "legacy")
+def test_cluster_kernel_golden(tiny_split, n_nodes):
+    epochs, payload_per_epoch, total_bytes, rows_digest = CLUSTER_GOLDEN[n_nodes]
+    run = _cluster_run(tiny_split, n_nodes)
 
-    assert kernel_run.epochs_completed == legacy_run.epochs_completed
-    for epoch in range(kernel_run.epochs_completed):
-        kernel_stats = kernel_run.stats_for_epoch(epoch)
-        legacy_stats = legacy_run.stats_for_epoch(epoch)
-        # Byte-identical per-epoch wire traffic, node by node.
-        assert [s.shared_payload_bytes for s in kernel_stats] == [
-            s.shared_payload_bytes for s in legacy_stats
-        ]
-        # Exact float equality: same seed, same arithmetic, same order.
-        assert [s.test_rmse for s in kernel_stats] == [
-            s.test_rmse for s in legacy_stats
-        ]
-    assert kernel_run.total_network_bytes == legacy_run.total_network_bytes
-
-
-def test_cluster_rejects_unknown_driver(tiny_split):
-    train = partition_users_across_nodes(tiny_split.train, 4, seed=2)
-    test = partition_users_across_nodes(tiny_split.test, 4, seed=2)
-    cluster = RexCluster(Topology.fully_connected(4), _config(4))
-    with pytest.raises(ValueError, match="driver"):
-        cluster.run(
-            train, test, global_mean=tiny_split.train.global_mean(), driver="warp"
-        )
+    assert run.epochs_completed == epochs
+    assert [
+        sum(s.shared_payload_bytes for s in run.stats_for_epoch(epoch))
+        for epoch in range(epochs)
+    ] == payload_per_epoch
+    assert run.total_network_bytes == total_bytes
+    # Byte-identical per-node wire traffic and bit-equal RMSE, node by node.
+    rows = [
+        (epoch, s.node_id, s.shared_payload_bytes, s.test_rmse.hex())
+        for epoch in range(epochs)
+        for s in run.stats_for_epoch(epoch)
+    ]
+    assert len(rows) == epochs * n_nodes
+    assert _rows_digest(rows) == rows_digest
 
 
 # --------------------------------------------------------------------- #
-# Fleet simulator: the kernel epoch chain reproduces the legacy loop.
+# Fleet simulator: the kernel epoch chain.
 # --------------------------------------------------------------------- #
+FLEET_RECORDS_DIGEST = "62020b9244e361579fe2090fff59dbc73b23115f3de74bb3eb9990188fbf8265"
+FLEET_CUM_BYTES = [11872, 23744, 35616, 47488, 59360]
+FLEET_FINAL_RMSE_HEX = "0x1.2a5aad884d562p+0"
+FLEET_TRACE_DIGEST = "e3b95e79d63990ec669f3c62782cae80ba4d40d5c59fff17c800bde5b1fbf5ea"
+
+
 def _fleet_sim(tiny_split, n_nodes=8):
     train = partition_users_across_nodes(tiny_split.train, n_nodes, seed=2)
     test = partition_users_across_nodes(tiny_split.test, n_nodes, seed=2)
@@ -98,53 +132,62 @@ def _fleet_sim(tiny_split, n_nodes=8):
     )
 
 
-def test_fleet_kernel_matches_legacy(tiny_split):
-    kernel_result = _fleet_sim(tiny_split).run(driver="kernel")
-    legacy_result = _fleet_sim(tiny_split).run(driver="legacy")
-    assert kernel_result.rmses() == legacy_result.rmses()
-    assert kernel_result.cum_bytes() == legacy_result.cum_bytes()
-    assert kernel_result.times() == legacy_result.times()
-    for kernel_record, legacy_record in zip(
-        kernel_result.records, legacy_result.records
-    ):
-        assert kernel_record == legacy_record
+def test_fleet_kernel_golden(tiny_split):
+    result = _fleet_sim(tiny_split).run()
+    assert [r.epoch for r in result.records] == [0, 1, 2, 3, 4]
+    assert result.cum_bytes() == FLEET_CUM_BYTES
+    assert result.records[-1].test_rmse.hex() == FLEET_FINAL_RMSE_HEX
+    # Every EpochRecord field, floats by bit pattern.
+    rows = [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in result.records
+    ]
+    assert _rows_digest(rows) == FLEET_RECORDS_DIGEST
 
 
 def test_fleet_kernel_populates_event_trace(tiny_split):
     sim = _fleet_sim(tiny_split)
-    sim.run(driver="kernel")
+    sim.run()
     assert sim.kernel is not None
     assert sim.kernel.processed == 5  # one fleet.epoch event per epoch
+    assert sim.kernel.trace_digest() == FLEET_TRACE_DIGEST
     # Same seed, same schedule -> same fingerprint.
     again = _fleet_sim(tiny_split)
-    again.run(driver="kernel")
+    again.run()
     assert again.kernel.trace_digest() == sim.kernel.trace_digest()
 
 
-def test_fleet_rejects_unknown_driver(tiny_split):
-    with pytest.raises(ValueError, match="driver"):
-        _fleet_sim(tiny_split).run(driver="warp")
+# --------------------------------------------------------------------- #
+# Serving: kernel-scheduled serve.tick events.
+# --------------------------------------------------------------------- #
+SERVE_COMPLETIONS = 55
+SERVE_TICKS = 30
+SERVE_COMPLETIONS_DIGEST = (
+    "7563039b7dd557cdd14bc63a38630151a2d6a77f8ea823caa1ead83c5fe69ae8"
+)
+SERVE_TRACE_DIGEST = "696392cff7b03612ed8bfeaeee93387f6c0850c7351bddae93ef62a1440f0dff"
 
 
-# --------------------------------------------------------------------- #
-# Serving: kernel-scheduled serve.tick events == the polling loop.
-# --------------------------------------------------------------------- #
-def test_serve_trace_kernel_matches_polling_loop():
+def test_serve_trace_golden():
     from repro.serve.server import RecServer, ServePolicy
     from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace
     from repro.sim.kernel import EventKernel
     from tests.serve.test_server import _StubEnclave
 
     trace = WorkloadGenerator(WorkloadSpec(seed=4, n_users=20, ticks=30, rate=2.0)).trace()
+    shared = EventKernel()
+    # run_trace on its own kernel, then on a caller-supplied one.
+    for kernel in (None, shared):
+        server = RecServer(_StubEnclave(), policy=ServePolicy(queue_depth=8))
+        completions = run_trace(server, trace, kernel=kernel)
 
-    legacy_server = RecServer(_StubEnclave(), policy=ServePolicy(queue_depth=8))
-    legacy = run_trace(legacy_server, trace)
-
-    kernel = EventKernel()
-    kernel_server = RecServer(_StubEnclave(), policy=ServePolicy(queue_depth=8))
-    driven = run_trace(kernel_server, trace, kernel=kernel)
-
-    assert driven == legacy
-    assert kernel_server.tick == legacy_server.tick
-    assert kernel_server.shed_count == legacy_server.shed_count
-    assert kernel.processed >= legacy_server.tick  # one serve.tick per tick
+        assert len(completions) == SERVE_COMPLETIONS
+        assert server.tick == SERVE_TICKS
+        assert server.shed_count == 0
+        assert (
+            _rows_digest((c.request_id, c.user, c.finish_s.hex()) for c in completions)
+            == SERVE_COMPLETIONS_DIGEST
+        )
+    # One serve.tick event per tick, plus the one that sees the horizon.
+    assert shared.processed == SERVE_TICKS + 1
+    assert shared.trace_digest() == SERVE_TRACE_DIGEST
