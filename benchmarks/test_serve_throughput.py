@@ -7,7 +7,8 @@ scenario, all on the simulated clock, so every number is deterministic
 for a fixed seed:
 
 - **baseline** -- the default Zipf workload against a trained node;
-  pinned floors on simulated throughput and a ceiling on p99 latency.
+  its cost-model outputs (completions, service time, p99) are pinned
+  exactly.
 - **cold vs warm cache** -- the identical trace served with caching
   disabled and enabled; warm must cut mean simulated latency (the
   acceptance gate for the result cache actually earning its keep).
@@ -17,8 +18,8 @@ for a fixed seed:
   clear a pinned floor.
 - **fleet peak** -- 8 shards x 2 replicas under the production traffic
   model (diurnal peak + flash crowd) with one replica per shard killed
-  at the peak; p99 latency and the shed rate are gated, and zero
-  requests may be lost to routing errors.
+  at the peak; completions, service time, p99 and shed are pinned
+  exactly, and zero requests may be lost to routing errors.
 
 **Throughput window.**  Every scenario's ``throughput_rps`` is
 *capacity* throughput: completions over the **service window**
@@ -30,11 +31,15 @@ rate, not the server, so two scenarios with different tick lengths or
 arrival processes produce incomparable wall numbers (the old artifact's
 "cold cache 61k req/s vs baseline 4k" was exactly this artifact).
 
-The JSON artifact is uploaded by the ``serve-bench`` CI job.  Floors are
-env-overridable for unusual environments:
-``REPRO_BENCH_SERVE_FLOOR_RPS``, ``REPRO_BENCH_SERVE_P99_CEILING_S``,
-``REPRO_BENCH_SERVE_P10_FLOOR``, ``REPRO_BENCH_SERVE_FLEET_P99_CEILING_S``,
-``REPRO_BENCH_SERVE_FLEET_SHED_RATE_CEILING``.
+**Gates.**  Everything except ranking quality is a deterministic
+cost-model output of the simulated clock, so those lanes are gated by
+exact pins (floats as ``float.hex``): any change to pricing, batching or
+scheduling fails here and must be re-pinned deliberately.  Only the
+precision@10 floor, which depends on trained floats, keeps a margin; it
+is env-overridable as ``REPRO_BENCH_SERVE_P10_FLOOR``.  The looser
+floors and ceilings are still recorded in the artifact and asserted.
+
+The JSON artifact is uploaded by the ``serve-bench`` CI job.
 """
 
 from __future__ import annotations
@@ -52,22 +57,20 @@ from repro.tee.epc import EpcModel
 
 OUTPUT = "BENCH_serve.json"
 
-#: Capacity-throughput floor (req/s over the service window) and p99
-#: ceiling (s) for the baseline scenario.  The reference run measures
-#: ~40,000 req/s capacity and p99 ~1.1 ms; the margins absorb deliberate
-#: cost-model retuning.
-FLOOR_RPS = float(os.environ.get("REPRO_BENCH_SERVE_FLOOR_RPS", "4000"))
-P99_CEILING_S = float(os.environ.get("REPRO_BENCH_SERVE_P99_CEILING_S", "0.05"))
+#: Exact cost-model outputs: (completed, busy_s.hex(), p99_s.hex()) for
+#: the baseline lane and the same plus shed for the fleet lane.
+BASELINE_PIN = (802, "0x1.937c914e861a6p-8", "0x1.1c2dc444a4300p-10")
+FLEET_PIN = (1832, "0x1.44bd1779ce8b2p-5", "0x1.18b7800b32780p-10", 0)
+
+#: Coarse bounds recorded in the artifact's ``floors`` (the pins above
+#: are the binding gate): baseline capacity floor (req/s over the
+#: service window) and p99 ceiling (s), fleet p99 ceiling and shed rate.
+FLOOR_RPS = 4000.0
+P99_CEILING_S = 0.05
+FLEET_P99_CEILING_S = 0.05
+FLEET_SHED_RATE_CEILING = 0.05
 #: precision@10 floor on the synthetic MovieLens stand-in (~0.07 measured).
 P10_FLOOR = float(os.environ.get("REPRO_BENCH_SERVE_P10_FLOOR", "0.03"))
-#: Fleet-lane gates: p99 under crash-at-peak conditions (~1.2 ms
-#: measured) and the fraction of offered requests the fleet may shed.
-FLEET_P99_CEILING_S = float(
-    os.environ.get("REPRO_BENCH_SERVE_FLEET_P99_CEILING_S", "0.05")
-)
-FLEET_SHED_RATE_CEILING = float(
-    os.environ.get("REPRO_BENCH_SERVE_FLEET_SHED_RATE_CEILING", "0.05")
-)
 
 #: Baseline scenario: the tier-1 acceptance configuration.
 BASELINE = dict(seed=0, nodes=4, epochs=3, users=40, items=120, ratings=1600)
@@ -228,6 +231,14 @@ def test_serve_throughput():
         )
     )
 
+    baseline_model = (baseline.completed, baseline.busy_s.hex(), baseline.p99_s.hex())
+    assert baseline_model == BASELINE_PIN, (
+        f"baseline cost-model output moved: {baseline_model} != {BASELINE_PIN}"
+    )
+    fleet_model = (fleet.completed, fleet.busy_s.hex(), fleet.p99_s.hex(), fleet.shed)
+    assert fleet_model == FLEET_PIN, (
+        f"fleet cost-model output moved: {fleet_model} != {FLEET_PIN}"
+    )
     assert baseline.capacity_rps >= FLOOR_RPS, (
         f"simulated capacity regressed: {baseline.capacity_rps:.0f} req/s "
         f"below the {FLOOR_RPS:.0f} floor"

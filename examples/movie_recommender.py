@@ -9,14 +9,13 @@ with a personal model good enough to rank unseen movies for its users.
 This example trains a 30-node REX deployment on a synthetic MovieLens
 dataset, then turns node 0 into a *serving endpoint* with the
 :mod:`repro.serve` stack: the trained model is published as an immutable
-snapshot into a serving enclave, a Zipf query workload is driven through
-the host-side admission queue, and a few users get their top-10 -- with
-movies they already rated excluded, straight from the enclave.
+snapshot into a serving enclave, a Zipf query workload is served through
+it as the one replica of a one-shard fleet (the same driver the sharded
+``repro serve --fleet`` path uses), and a few users get their top-10 --
+with movies they already rated excluded, straight from the enclave.
 
 Run:  python examples/movie_recommender.py
 """
-
-import numpy as np
 
 from repro import (
     Dissemination,
@@ -30,11 +29,11 @@ from repro.data import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_triplets
 from repro.obs import Observability
-from repro.serve import RecServer, ServePolicy, WorkloadGenerator, WorkloadSpec
+from repro.serve import ServePolicy, WorkloadGenerator, WorkloadSpec
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet import FleetBalancer, FleetPolicy, HashRing, ShardReplica
 from repro.serve.report import ServeReport
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
-from repro.serve.workload import run_trace
 from repro.sim import MfFleetSim
 from repro.tee import AttestationService, Platform
 
@@ -94,16 +93,24 @@ def main():
           f"{meta['resident_bytes'] / 1024:.0f} KiB resident)")
 
     # ------------------------------------------------------------------ #
-    # Drive a Zipf workload through the admission front-end.
+    # Serve a Zipf workload: the enclave is the one replica of a one-shard
+    # fleet, and the front door is sized so only its own queue sheds.
     # ------------------------------------------------------------------ #
-    server = RecServer(
-        enclave,
-        policy=ServePolicy(top_k=TOP_K),
-        epc=platform.epc,
-        metrics=obs.metrics,
+    policy = ServePolicy(top_k=TOP_K)
+    replica = ShardReplica(
+        0, 0, lambda _incarnation: enclave,
+        policy=policy, epc=platform.epc, metrics=obs.metrics,
     )
     workload = WorkloadSpec(seed=0, n_users=SPEC.n_users, ticks=150, rate=5.0)
-    completions = run_trace(server, WorkloadGenerator(workload).trace())
+    trace = WorkloadGenerator(workload).trace()
+    balancer = FleetBalancer(
+        HashRing([0]), {0: [replica]},
+        policy=FleetPolicy(queue_depth=max(1, len(trace)), shard=policy),
+        metrics=obs.metrics,
+    )
+    replica.boot(0, meta["version"])
+    completions = balancer.run_trace(trace, ticks=workload.ticks)
+    server = replica.server
     latencies = [c.latency_s for c in completions]
     summary = ServeReport.latency_summary(latencies)
     print(f"served {len(completions)} queries: "

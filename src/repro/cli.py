@@ -502,72 +502,66 @@ def cmd_chaos(args) -> int:
 def cmd_serve(args) -> int:
     import json
 
-    from repro.serve import ServePolicy, WorkloadSpec, run_serving_experiment
+    from repro.serve import ServePolicy, TrafficSpec, WorkloadSpec, run_serving_experiment
+    from repro.serve.fleet import FleetPolicy, run_fleet_experiment
 
-    if args.fleet:
-        from repro.serve import TrafficSpec
-        from repro.serve.fleet import FleetPolicy, run_fleet_experiment
-
-        report = run_fleet_experiment(
-            seed=args.seed,
-            shards=args.shards,
-            replicas=args.replicas,
-            nodes=args.nodes,
-            epochs=args.epochs,
-            users=args.users,
-            items=args.items,
-            ratings=args.ratings,
-            node_id=args.node,
-            traffic=TrafficSpec(
+    try:
+        if args.fleet:
+            report = run_fleet_experiment(
                 seed=args.seed,
-                n_users=args.users,
-                ticks=args.ticks,
-                peak_rate=args.peak_rate,
-                day_night_ratio=args.day_night_ratio,
-                flash_crowds=args.flash_crowds,
-            ),
-            policy=FleetPolicy(
-                shard=ServePolicy(
+                shards=args.shards,
+                replicas=args.replicas,
+                nodes=args.nodes,
+                epochs=args.epochs,
+                users=args.users,
+                items=args.items,
+                ratings=args.ratings,
+                node_id=args.node,
+                traffic=TrafficSpec(
+                    seed=args.seed,
+                    n_users=args.users,
+                    ticks=args.ticks,
+                    peak_rate=args.peak_rate,
+                    day_night_ratio=args.day_night_ratio,
+                    flash_crowds=args.flash_crowds,
+                ),
+                policy=FleetPolicy(
+                    shard=ServePolicy(
+                        top_k=args.top_k,
+                        queue_depth=args.queue_depth,
+                        max_batch=args.max_batch,
+                        shed="reject-newest",
+                    ),
+                ),
+                epc_cap_mib=args.epc_cap_mib,
+                kill_one_replica_per_shard=args.kill_one_replica_per_shard,
+            )
+        else:
+            report = run_serving_experiment(
+                seed=args.seed,
+                nodes=args.nodes,
+                epochs=args.epochs,
+                users=args.users,
+                items=args.items,
+                ratings=args.ratings,
+                node_id=args.node,
+                workload=WorkloadSpec(
+                    seed=args.seed,
+                    n_users=args.users,
+                    ticks=args.ticks,
+                    rate=args.requests_per_tick,
+                    zipf_s=args.zipf,
+                ),
+                policy=ServePolicy(
                     top_k=args.top_k,
                     queue_depth=args.queue_depth,
                     max_batch=args.max_batch,
-                    shed="reject-newest",
+                    shed=args.shed,
                 ),
-            ),
-            epc_cap_mib=args.epc_cap_mib,
-            kill_one_replica_per_shard=args.kill_one_replica_per_shard,
-        )
-        for line in report.format_lines():
-            print(line)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.output} ({report.completed} completions)")
-        return 0
-
-    report = run_serving_experiment(
-        seed=args.seed,
-        nodes=args.nodes,
-        epochs=args.epochs,
-        users=args.users,
-        items=args.items,
-        ratings=args.ratings,
-        node_id=args.node,
-        workload=WorkloadSpec(
-            seed=args.seed,
-            n_users=args.users,
-            ticks=args.ticks,
-            rate=args.requests_per_tick,
-            zipf_s=args.zipf,
-        ),
-        policy=ServePolicy(
-            top_k=args.top_k,
-            queue_depth=args.queue_depth,
-            max_batch=args.max_batch,
-            shed=args.shed,
-        ),
-    )
+            )
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     for line in report.format_lines():
         print(line)
     if args.output:

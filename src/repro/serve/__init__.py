@@ -20,12 +20,13 @@ the same software-enclave model the training protocol uses:
 - :mod:`repro.serve.costing` -- the one shared batch-pricing helper the
   single endpoint and the fleet both charge against.
 - :mod:`repro.serve.workload` -- seeded Zipf-popularity workload
-  generator, the production :class:`TrafficModel` (diurnal + flash
-  crowds + heavy-tailed users) and the open/closed-loop drivers.
+  generator and the production :class:`TrafficModel` (diurnal + flash
+  crowds + heavy-tailed users); both emit open-loop arrival traces.
 - :mod:`repro.serve.report` -- throughput + latency percentiles + cache
   and EPC accounting as a ``repro.serve/v1`` JSON document.
 - :mod:`repro.serve.runner` -- the one-call train -> publish -> serve
-  pipeline behind ``repro serve`` (plays every role, like ``repro.sim``).
+  pipeline behind ``repro serve`` (plays every role, like ``repro.sim``);
+  it serves through the fleet driver as a 1-shard x 1-replica fleet.
 - :mod:`repro.serve.fleet` -- the sharded serving fleet: consistent-hash
   routing, user-partitioned shard enclaves, replicated failover and the
   ``repro.serve-fleet/v1`` report (behind ``repro serve --fleet``).

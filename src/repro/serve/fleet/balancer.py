@@ -31,8 +31,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.faults.plan import CrashEvent
 from repro.obs import MetricsRegistry
 from repro.serve.costing import ServeCostModel
 from repro.serve.fleet.router import HashRing
@@ -42,12 +46,16 @@ from repro.serve.server import (
     RecServer,
     ServePolicy,
 )
+from repro.sim.kernel import EventKernel
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Enclave
 from repro.tee.epc import EpcModel
 from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["FleetPolicy", "ShardReplica", "FleetBalancer"]
+
+#: Drain safety valve: ticks past the trace horizon before giving up.
+_MAX_DRAIN_TICKS = 100_000
 
 
 def _default_shard_policy() -> ServePolicy:
@@ -390,3 +398,98 @@ class FleetBalancer:
             self._count_shed(count)
             self._pending.clear()
         return count
+
+    # ------------------------------------------------------------------ #
+    # The serving driver
+    # ------------------------------------------------------------------ #
+    def run_trace(
+        self,
+        trace: np.ndarray,
+        *,
+        ticks: int,
+        crashes: Sequence[CrashEvent] = (),
+        kernel: Optional[EventKernel] = None,
+    ) -> List[Completion]:
+        """Serve an open-loop ``(tick, user)`` trace, then drain the fleet.
+
+        Every per-tick action is an event on ``kernel`` (a fresh
+        :class:`~repro.sim.kernel.EventKernel` unless one is passed):
+        ``faults.crash`` / ``faults.restart`` (key rank 0), one
+        ``serve.fleet.route`` (rank 1) and one ``serve.tick`` per shard
+        (rank 2), so a replica killed at tick ``t`` hands its queue back
+        before that tick's arrivals route.  ``CrashEvent.node`` is the
+        global replica index (replicas numbered shard by shard) and
+        ``at_epoch`` the serve tick of the kill.
+
+        After ``ticks`` ticks the fleet keeps ticking until no request
+        waits anywhere; work that no live replica can ever take is shed
+        after a grace window.  Returns every completion, in order.
+        """
+        kernel = kernel if kernel is not None else EventKernel()
+        shard_ids = self.ring.shard_ids
+        slots: List[Tuple[int, int]] = [
+            (shard, r) for shard in shard_ids for r in range(len(self.replicas[shard]))
+        ]
+        arrivals = np.asarray(trace, dtype=np.int64)
+        cursor = {"pos": 0}
+
+        def _route_tick(tick: int) -> None:
+            pos = cursor["pos"]
+            while pos < len(arrivals) and int(arrivals[pos, 0]) == tick:
+                self.offer(int(arrivals[pos, 1]))
+                pos += 1
+            cursor["pos"] = pos
+            self.route_pending()
+
+        def _kill(event: CrashEvent) -> None:
+            self.kill_replica(*slots[event.node])
+
+        def _restart(event: CrashEvent, tick: int) -> None:
+            self.restart_replica(*slots[event.node], tick)
+
+        for tick in range(ticks):
+            # Key ranks order one tick's events: faults(0) < route(1) < serve(2).
+            kernel.at(
+                float(tick), partial(_route_tick, tick), kind="serve.fleet.route",
+                key=(tick, 1),
+            )
+            for shard in shard_ids:
+                kernel.at(
+                    float(tick), partial(self.step_shard, shard),
+                    kind="serve.tick", key=(tick, 2, shard),
+                )
+        for event in crashes:
+            if event.node >= len(slots):
+                raise ValueError("crash plan names a replica outside the fleet")
+            kernel.at(
+                float(event.at_epoch), partial(_kill, event),
+                kind="faults.crash", key=(event.at_epoch, 0, event.node),
+            )
+            if event.restart_after_ticks is not None:
+                back = event.at_epoch + event.restart_after_ticks
+                kernel.at(
+                    float(back), partial(_restart, event, back),
+                    kind="faults.restart", key=(back, 0, event.node),
+                )
+        kernel.run()
+
+        # Drain: keep ticking past the horizon until nothing waits anywhere.
+        tick = ticks
+        stalled = 0
+        while not self.idle():
+            before = len(self.completions)
+            self.route_pending()
+            for shard in shard_ids:
+                self.step_shard(shard)
+            stalled = stalled + 1 if len(self.completions) == before else 0
+            # A shard with every replica permanently dead can never drain its
+            # deferred queue; after a grace window its stragglers are shed.
+            # Work already in a live replica's queue always dispatches, so
+            # the valve only opens once those queues are empty.
+            if stalled > 64 and self.queued_len == 0:
+                self.shed_pending()
+                break
+            tick += 1
+            if tick > ticks + _MAX_DRAIN_TICKS:
+                raise RuntimeError("fleet failed to drain")
+        return self.completions

@@ -1,13 +1,13 @@
 """One-call train -> shard -> serve fleet pipeline (``repro serve --fleet``).
 
-Like :mod:`repro.serve.runner`, this module deliberately plays every
-role in one process: it trains the fleet (the *same* model the
-single-endpoint pipeline serves for a given seed), partitions users
-across shards with the consistent-hash ring, publishes each shard's
-sliced snapshot into ``replicas`` serving enclaves on per-shard EPC
-platforms, drives a production traffic trace through the
-:class:`~repro.serve.fleet.balancer.FleetBalancer`, optionally kills and
-restarts replicas mid-run (reusing
+This module deliberately plays every role in one process: it trains the
+fleet (:func:`train_fleet_model`, the *same* model the single-endpoint
+pipeline in :mod:`repro.serve.runner` serves for a given seed),
+partitions users across shards with the consistent-hash ring, publishes
+each shard's sliced snapshot into ``replicas`` serving enclaves on
+per-shard EPC platforms, drives a production traffic trace through
+:meth:`~repro.serve.fleet.balancer.FleetBalancer.run_trace`, optionally
+kills and restarts replicas mid-run (reusing
 :class:`~repro.faults.plan.CrashEvent`, with ``at_epoch`` meaning the
 *serve tick* of the kill), and condenses everything into a
 :class:`~repro.serve.fleet.report.FleetServeReport`.
@@ -20,7 +20,7 @@ tick's arrivals route -- which is what makes "zero admitted requests
 lost to a crash" hold deterministically.
 
 Shared module: it orchestrates trusted shard enclaves and untrusted
-routing in one process, exactly like :mod:`repro.serve.runner`.
+routing in one process, exactly like :mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.core.config import Dissemination, RexConfig, SharingScheme
+from repro.data.movielens import MovieLensSpec, generate_movielens
+from repro.data.partition import partition_users_across_nodes
 from repro.faults.plan import CrashEvent
+from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_triplets
+from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.serve.costing import ServeCostModel
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
@@ -42,15 +45,20 @@ from repro.serve.fleet.shard import (
     build_shard_payload,
     encode_shard_users,
 )
-from repro.serve.runner import train_fleet_model
 from repro.serve.workload import TrafficModel, TrafficSpec, trace_digest
+from repro.sim.fleet import MfFleetSim
 from repro.sim.kernel import EventKernel
 from repro.tee.attestation import AttestationService
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Platform
 from repro.tee.epc import EpcModel
 
-__all__ = ["run_fleet_experiment", "kill_one_per_shard_plan"]
+__all__ = [
+    "run_fleet_experiment",
+    "kill_one_per_shard_plan",
+    "node_params",
+    "train_fleet_model",
+]
 
 _MIB = float(1024 * 1024)
 
@@ -59,8 +67,77 @@ _MIB = float(1024 * 1024)
 #: index and the pinned hot cache on top of the snapshot itself).
 _EPC_CAP_FACTOR = 2.0
 
-#: Drain safety valve: ticks past the trace horizon before giving up.
-_MAX_DRAIN_TICKS = 100_000
+
+def _build_data(users: int, items: int, ratings: int, nodes: int, data_seed: int):
+    spec = MovieLensSpec(
+        name=f"serve-{users}u",
+        n_ratings=ratings,
+        n_items=items,
+        n_users=users,
+        last_updated=2020,
+    )
+    split = generate_movielens(spec, seed=data_seed).split(0.7, seed=1)
+    train = partition_users_across_nodes(split.train, nodes, seed=2)
+    test = partition_users_across_nodes(split.test, nodes, seed=2)
+    return split, list(train), list(test)
+
+
+def train_fleet_model(
+    *,
+    seed: int,
+    nodes: int,
+    epochs: int,
+    users: int,
+    items: int,
+    ratings: int,
+    mf_k: int,
+    share_points: int = 100,
+    data_seed: int = 42,
+):
+    """Train the fleet sim every serving path publishes snapshots from.
+
+    Returns ``(sim, split)``: the finished fleet simulation (its per-node
+    parameter arrays are what gets published) and the train/test split
+    (exclusion ratings and quality probes).  Shared by the
+    single-endpoint pipeline and the sharded fleet runner, so both serve
+    the *same* model for a given seed.
+    """
+    split, train, test = _build_data(users, items, ratings, nodes, data_seed=data_seed)
+    topology = Topology.fully_connected(nodes)
+    config = RexConfig(
+        scheme=SharingScheme.DATA,
+        dissemination=Dissemination.DPSGD,
+        epochs=epochs,
+        share_points=share_points,
+        seed=seed,
+        mf=MfHyperParams(k=mf_k),
+    )
+    sim = MfFleetSim(
+        train, test, topology, config, global_mean=split.train.global_mean()
+    )
+    sim.run()
+    return sim, split
+
+
+def node_params(sim: MfFleetSim, node_id: int) -> tuple:
+    """The arrays node ``node_id`` publishes, in snapshot-builder order.
+
+    Returns ``(user_factors, item_factors, user_bias, item_bias,
+    user_seen, item_seen, global_mean)``.  Raises :class:`ValueError`
+    unless ``0 <= node_id < nodes`` (a negative id would otherwise
+    silently index another node's model).
+    """
+    if not 0 <= node_id < sim.n_nodes:
+        raise ValueError(f"node id {node_id} outside the fleet's {sim.n_nodes} nodes")
+    return (
+        sim.XU[node_id],
+        sim.YI[node_id],
+        sim.BU[node_id],
+        sim.BI[node_id],
+        sim.SU[node_id],
+        sim.SI[node_id],
+        sim.global_mean,
+    )
 
 
 def kill_one_per_shard_plan(
@@ -149,6 +226,7 @@ def run_fleet_experiment(
         ratings=ratings,
         mf_k=mf_k,
     )
+    params = node_params(sim, node_id)
     ring = HashRing(range(shards), vnodes=vnodes)
     partition = ring.partition(users)
 
@@ -157,13 +235,7 @@ def run_fleet_experiment(
     shard_meta: Dict[int, dict] = {}
     for shard, owned in partition.items():
         wire, meta = build_shard_payload(
-            sim.XU[node_id],
-            sim.YI[node_id],
-            sim.BU[node_id],
-            sim.BI[node_id],
-            sim.SU[node_id],
-            sim.SI[node_id],
-            sim.global_mean,
+            *params,
             owned,
             version=version,
             shard_id=shard,
@@ -225,70 +297,11 @@ def run_fleet_experiment(
         for replica in replica_map[shard]:
             replica.boot(0, version)
 
-    # ------------------------------------------------------------------ #
-    # Schedule the run on the event kernel.
-    # ------------------------------------------------------------------ #
-    kernel = EventKernel()
-    arrivals = np.asarray(trace, dtype=np.int64)
-    cursor = {"pos": 0}
-
-    def _route_tick(tick: int) -> None:
-        pos = cursor["pos"]
-        while pos < len(arrivals) and int(arrivals[pos, 0]) == tick:
-            balancer.offer(int(arrivals[pos, 1]))
-            pos += 1
-        cursor["pos"] = pos
-        balancer.route_pending()
-
-    def _kill(event: CrashEvent) -> None:
-        balancer.kill_replica(event.node // replicas, event.node % replicas)
-
-    def _restart(event: CrashEvent, tick: int) -> None:
-        balancer.restart_replica(event.node // replicas, event.node % replicas, tick)
-
-    for tick in range(traffic.ticks):
-        # Key ranks order one tick's events: faults(0) < route(1) < serve(2).
-        kernel.at(
-            float(tick), partial(_route_tick, tick), kind="serve.fleet.route",
-            key=(tick, 1),
-        )
-        for shard in ring.shard_ids:
-            kernel.at(
-                float(tick), partial(balancer.step_shard, shard),
-                kind="serve.tick", key=(tick, 2, shard),
-            )
-    for event in crashes:
-        if event.node >= shards * replicas:
-            raise ValueError("crash plan names a replica outside the fleet")
-        kernel.at(
-            float(event.at_epoch), partial(_kill, event),
-            kind="faults.crash", key=(event.at_epoch, 0, event.node),
-        )
-        if event.restart_after_ticks is not None:
-            back = event.at_epoch + event.restart_after_ticks
-            kernel.at(
-                float(back), partial(_restart, event, back),
-                kind="faults.restart", key=(back, 0, event.node),
-            )
-    kernel.run()
-
-    # Drain: keep ticking past the horizon until nothing waits anywhere.
-    tick = traffic.ticks
-    stalled = 0
-    while not balancer.idle():
-        before = len(balancer.completions)
-        balancer.route_pending()
-        for shard in ring.shard_ids:
-            balancer.step_shard(shard)
-        stalled = stalled + 1 if len(balancer.completions) == before else 0
-        # A shard with every replica permanently dead can never drain its
-        # deferred queue; after a grace window its stragglers are shed.
-        if stalled > 64:
-            balancer.shed_pending()
-            break
-        tick += 1
-        if tick > traffic.ticks + _MAX_DRAIN_TICKS:
-            raise RuntimeError("fleet failed to drain")
+    # The serving kernel is built here, through this module's name, so
+    # callers can swap in an instrumented subclass.
+    balancer.run_trace(
+        trace, ticks=traffic.ticks, crashes=crashes, kernel=EventKernel()
+    )
 
     # ------------------------------------------------------------------ #
     # Report.

@@ -2,9 +2,11 @@
 
 Like :mod:`repro.sim`, this module deliberately plays every role in one
 process -- it trains a fleet, publishes a node's snapshot, stands up a
-serving enclave on a fresh platform, drives a seeded workload through
-the host-side :class:`~repro.serve.server.RecServer`, probes ranking
-quality against the held-out split, and condenses everything into a
+serving enclave on a fresh platform, serves a seeded workload through
+it as the one replica of a one-shard fleet (the same
+:meth:`~repro.serve.fleet.balancer.FleetBalancer.run_trace` driver
+``repro serve --fleet`` uses), probes ranking quality against the
+held-out split, and condenses everything into a
 :class:`~repro.serve.report.ServeReport`.
 
 Every step is seeded: the synthetic dataset, the fleet training run, the
@@ -19,83 +21,29 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import Dissemination, RexConfig, SharingScheme
-from repro.data.movielens import MovieLensSpec, generate_movielens
-from repro.data.partition import partition_users_across_nodes
 from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k
-from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_triplets
-from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
+from repro.serve.fleet.router import HashRing
+from repro.serve.fleet.runner import node_params, train_fleet_model
 from repro.serve.report import ServeReport
-from repro.serve.server import RecServer, ServeCostModel, ServePolicy
+from repro.serve.server import ServeCostModel, ServePolicy
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
-from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace, trace_digest
-from repro.sim.fleet import MfFleetSim
+from repro.serve.workload import WorkloadGenerator, WorkloadSpec, trace_digest
 from repro.tee.attestation import AttestationService
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Enclave, Platform
 from repro.tee.epc import EpcModel
 
-__all__ = ["run_serving_experiment", "train_and_load", "train_fleet_model"]
+__all__ = ["run_serving_experiment", "train_and_load"]
 
 #: Held-out ratings at or above this are "relevant" for ranking quality.
 RELEVANCE_THRESHOLD = 4.0
 
 #: How many users the post-load quality probe scores.
 QUALITY_PROBE_USERS = 50
-
-
-def _build_data(users: int, items: int, ratings: int, nodes: int, data_seed: int):
-    spec = MovieLensSpec(
-        name=f"serve-{users}u",
-        n_ratings=ratings,
-        n_items=items,
-        n_users=users,
-        last_updated=2020,
-    )
-    split = generate_movielens(spec, seed=data_seed).split(0.7, seed=1)
-    train = partition_users_across_nodes(split.train, nodes, seed=2)
-    test = partition_users_across_nodes(split.test, nodes, seed=2)
-    return split, list(train), list(test)
-
-
-def train_fleet_model(
-    *,
-    seed: int,
-    nodes: int,
-    epochs: int,
-    users: int,
-    items: int,
-    ratings: int,
-    mf_k: int,
-    share_points: int = 100,
-    data_seed: int = 42,
-):
-    """Train the fleet sim every serving path publishes snapshots from.
-
-    Returns ``(sim, split)``: the finished fleet simulation (its per-node
-    parameter arrays are what gets published) and the train/test split
-    (exclusion ratings and quality probes).  Shared by the
-    single-endpoint pipeline and the sharded fleet runner, so both serve
-    the *same* model for a given seed.
-    """
-    split, train, test = _build_data(users, items, ratings, nodes, data_seed=data_seed)
-    topology = Topology.fully_connected(nodes)
-    config = RexConfig(
-        scheme=SharingScheme.DATA,
-        dissemination=Dissemination.DPSGD,
-        epochs=epochs,
-        share_points=share_points,
-        seed=seed,
-        mf=MfHyperParams(k=mf_k),
-    )
-    sim = MfFleetSim(
-        train, test, topology, config, global_mean=split.train.global_mean()
-    )
-    sim.run()
-    return sim, split
 
 
 def train_and_load(
@@ -135,13 +83,7 @@ def train_and_load(
     )
 
     snapshot = snapshot_from_arrays(
-        sim.XU[node_id],
-        sim.YI[node_id],
-        sim.BU[node_id],
-        sim.BI[node_id],
-        sim.SU[node_id],
-        sim.SI[node_id],
-        sim.global_mean,
+        *node_params(sim, node_id),
         version=1,
         node_id=node_id,
         epoch=epochs,
@@ -219,6 +161,8 @@ def run_serving_experiment(
         policy = ServePolicy()
     if workload is None:
         workload = WorkloadSpec(seed=seed, n_users=users)
+    if workload.n_users > users:
+        raise ValueError("workload cannot query more users than the dataset has")
     enclave, meta, split, platform = train_and_load(
         seed=seed,
         nodes=nodes,
@@ -233,17 +177,29 @@ def run_serving_experiment(
         hot_capacity=hot_capacity,
         obs=obs,
     )
-    server = RecServer(
-        enclave,
+    trace = WorkloadGenerator(workload).trace()
+
+    # Serve as the one replica of a one-shard fleet.  The front door is
+    # sized to the whole trace, so only the endpoint's own policy sheds.
+    replica = ShardReplica(
+        0,
+        0,
+        lambda _incarnation: enclave,
         policy=policy,
         costs=costs,
         sgx=sgx,
         epc=platform.epc,
         metrics=obs.metrics,
     )
-    generator = WorkloadGenerator(workload)
-    trace = generator.trace()
-    completions = run_trace(server, trace)
+    balancer = FleetBalancer(
+        HashRing([0]),
+        {0: [replica]},
+        policy=FleetPolicy(queue_depth=max(1, len(trace)), shard=policy),
+        metrics=obs.metrics,
+    )
+    replica.boot(0, 1)
+    completions = balancer.run_trace(trace, ticks=workload.ticks)
+    server = replica.server
 
     # Cache effectiveness of the *load phase* only: the quality probe
     # below would otherwise pollute the counters it is reported next to.

@@ -1,4 +1,4 @@
-"""Seeded query workloads: Zipf popularity, open- and closed-loop drive.
+"""Seeded query workloads: Zipf popularity and production traffic traces.
 
 Recommendation traffic is head-heavy -- a few users generate most
 queries -- which is exactly what makes the result cache earn its keep.
@@ -8,16 +8,11 @@ gets weight ``1/(r+1)^s``, and every draw comes from a named
 :func:`~repro._rng.child_rng` stream, so a (seed, spec) pair always
 yields the *same* trace.  The SHA-256 trace digest pins that in reports.
 
-Two drive modes:
-
-- :func:`run_trace` -- **open loop**: a pre-generated ``(tick, user)``
-  arrival trace is offered to the server on schedule, regardless of how
-  the server keeps up.  This is the mode reports pin, because the
-  offered load is identical across runs by construction.
-- :func:`run_closed_loop` -- ``clients`` concurrent users each keep one
-  request outstanding and think for a few ticks between requests; the
-  offered load adapts to the server's speed, like a saturation
-  benchmark.
+Both sources emit open-loop ``(tick, user)`` arrival traces: the offered
+load is fixed up front, independent of how the server keeps up, so it
+is identical across runs by construction.  Serving a trace is the job
+of the one driver,
+:meth:`~repro.serve.fleet.balancer.FleetBalancer.run_trace`.
 
 Untrusted module: workloads are public traffic, not secrets.
 """
@@ -26,21 +21,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from repro._rng import child_rng
-from repro.serve.server import Completion, RecServer
-from repro.sim.kernel import EventKernel
 
 __all__ = [
     "WorkloadSpec",
     "WorkloadGenerator",
     "TrafficSpec",
     "TrafficModel",
-    "run_trace",
-    "run_closed_loop",
 ]
 
 
@@ -209,94 +199,3 @@ def trace_digest(trace: np.ndarray) -> str:
     h.update(b"repro.serve.trace/v1")
     h.update(np.ascontiguousarray(trace, dtype="<i8").tobytes())
     return h.hexdigest()
-
-
-def run_trace(
-    server: RecServer,
-    trace: np.ndarray,
-    *,
-    kernel: Optional[EventKernel] = None,
-) -> List[Completion]:
-    """Offer an open-loop trace on schedule, then drain the queue.
-
-    The schedule registers as ``serve.tick`` events on an event kernel
-    -- one event per server tick, that tick's arrivals offered before
-    the server steps -- so serving composes with the other kernel-driven
-    subsystems.  Pass ``kernel`` to share or inspect one; otherwise a
-    fresh :class:`~repro.sim.kernel.EventKernel` is used.
-    """
-    kernel = kernel if kernel is not None else EventKernel()
-    completions: List[Completion] = []
-    arrivals = np.asarray(trace, dtype=np.int64)
-    last_tick = int(arrivals[-1, 0]) if len(arrivals) else -1
-    state = {"pos": 0}
-
-    def tick_event() -> None:
-        if server.tick > last_tick:
-            return
-        pos = state["pos"]
-        while pos < len(arrivals) and int(arrivals[pos, 0]) == server.tick:
-            server.offer(int(arrivals[pos, 1]))
-            pos += 1
-        state["pos"] = pos
-        completions.extend(server.step())
-        kernel.after(1.0, tick_event, kind="serve.tick", key=(server.tick,))
-
-    kernel.at(kernel.now, tick_event, kind="serve.tick", key=(server.tick,))
-    kernel.run()
-    completions.extend(server.drain())
-    return completions
-
-
-def run_closed_loop(
-    server: RecServer,
-    generator: WorkloadGenerator,
-    *,
-    clients: int,
-    requests: int,
-    think_ticks: int = 1,
-    max_ticks: int = 1_000_000,
-) -> List[Completion]:
-    """``clients`` one-outstanding-request users issue ``requests`` total.
-
-    A client is freed when its request completes *or* is shed, then
-    thinks ``think_ticks`` before issuing its next query.  The user
-    stream is drawn once up front, so the set of queried users is
-    deterministic even though the issue schedule adapts to server speed.
-    """
-    if clients < 1:
-        raise ValueError("need at least one client")
-    users = generator.users(requests)
-    next_free: List[int] = [0] * clients  # tick at which a client may issue
-    outstanding: dict = {}  # request_id -> client
-    completions: List[Completion] = []
-    issued = 0
-    finished = 0
-    while finished < requests:
-        if server.tick > max_ticks:
-            raise RuntimeError("closed-loop drive failed to finish")
-        for client in range(clients):
-            if next_free[client] < 0 or next_free[client] > server.tick:
-                continue
-            if issued >= requests:
-                continue
-            request_id = server.offer(int(users[issued]))
-            issued += 1
-            if request_id < 0:
-                finished += 1  # rejected outright; client retries later
-                next_free[client] = server.tick + think_ticks
-            else:
-                outstanding[request_id] = client
-                next_free[client] = -1  # blocked until completion/shed
-        for completion in server.step():
-            completions.append(completion)
-            finished += 1
-            client = outstanding.pop(completion.request_id, None)
-            if client is not None:
-                next_free[client] = server.tick + think_ticks
-        for request_id in server.take_shed():
-            finished += 1
-            client = outstanding.pop(request_id, None)
-            if client is not None:
-                next_free[client] = server.tick + think_ticks
-    return completions

@@ -9,7 +9,6 @@ from repro.cli import main
 from repro.lint import (
     all_program_rules,
     all_rules,
-    lint_paths,
     module_name_for,
     rule_catalog,
 )
@@ -18,8 +17,8 @@ SRC_REPRO = str(Path(repro.__file__).parent)
 
 
 class TestTreeIsClean:
-    def test_src_repro_has_zero_findings(self):
-        report = lint_paths([SRC_REPRO])
+    def test_src_repro_has_zero_findings(self, tree_lint):
+        report, _elapsed = tree_lint
         assert report.files_checked > 50
         offenders = "\n".join(f.format() for f in report.sorted())
         assert report.errors == 0, offenders
@@ -66,12 +65,12 @@ class TestModuleNames:
 
 
 class TestCli:
-    def test_lint_clean_tree_exits_zero(self, capsys):
+    def test_lint_clean_tree_exits_zero(self, capsys, shared_tree_lint):
         assert main(["lint", SRC_REPRO]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 
-    def test_lint_json_document(self, capsys, tmp_path):
+    def test_lint_json_document(self, capsys, tmp_path, shared_tree_lint):
         out_file = tmp_path / "lint.json"
         assert main(["lint", SRC_REPRO, "--format", "json",
                      "--output", str(out_file)]) == 0
@@ -99,7 +98,7 @@ class TestCli:
                         "REX-F001", "REX-K001", "REX-S002"):
             assert rule_id in out
 
-    def test_sarif_output(self, capsys, tmp_path):
+    def test_sarif_output(self, capsys, tmp_path, shared_tree_lint):
         out_file = tmp_path / "lint.sarif"
         assert main(["lint", SRC_REPRO, "--format", "sarif",
                      "--output", str(out_file)]) == 0

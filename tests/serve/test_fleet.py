@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.plan import CrashEvent
 from repro.obs import Observability
@@ -15,8 +17,9 @@ from repro.serve.fleet.shard import (
     build_shard_payload,
     encode_shard_users,
 )
-from repro.serve.server import ServePolicy
+from repro.serve.server import REJECT_NEWEST, SHED_OLDEST, ServePolicy
 from repro.serve.snapshot import snapshot_from_arrays, encode_snapshot
+from repro.sim.kernel import EventKernel
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import Platform
 from repro.tee.errors import SnapshotReplayError
@@ -348,3 +351,124 @@ class TestFailoverMechanics:
         assert balancer.offer(0) and balancer.offer(1)
         assert not balancer.offer(2)
         assert balancer.shed == 1
+
+
+# --------------------------------------------------------------------- #
+# The one serving driver: FleetBalancer.run_trace
+# --------------------------------------------------------------------- #
+_PROP_USERS = 24
+_PROP_TICKS = 30
+
+
+def _toy_fleet(shards, replicas, policy, metrics):
+    """``shards`` x ``replicas`` toy-array shard enclaves; booted at v1."""
+    arrays = _toy_arrays(n_users=_PROP_USERS)
+    ring = HashRing(range(shards))
+    replica_map = {}
+    for shard, owned in ring.partition(_PROP_USERS).items():
+        wire, _ = build_shard_payload(
+            arrays["user_factors"],
+            arrays["item_factors"],
+            arrays["user_bias"],
+            arrays["item_bias"],
+            arrays["user_seen"],
+            arrays["item_seen"],
+            arrays["global_mean"],
+            owned,
+            version=1,
+            shard_id=shard,
+        )
+        load = {"snapshot": wire, "shard_users": encode_shard_users(owned)}
+        platform = Platform(f"prop-s{shard}", AttestationService(), metrics=metrics)
+
+        def factory(incarnation, _platform=platform, _load=load, _s=shard):
+            enclave = _platform.create_enclave(
+                ShardEnclaveApp, f"prop-s{_s}-{len(_platform.enclaves)}"
+            )
+            enclave.ecall("ecall_load", _load)
+            return enclave
+
+        replica_map[shard] = [
+            ShardReplica(shard, r, factory, policy=policy.shard, metrics=metrics)
+            for r in range(replicas)
+        ]
+    balancer = FleetBalancer(ring, replica_map, policy=policy, metrics=metrics)
+    for shard, reps in replica_map.items():
+        balancer.shard_version[shard] = 1
+        for replica in reps:
+            replica.boot(0, 1)
+    return balancer
+
+
+@st.composite
+def _fleet_runs(draw):
+    shards = draw(st.integers(1, 5))
+    replicas = draw(st.integers(1, 3))
+    policy = FleetPolicy(
+        queue_depth=draw(st.integers(1, 48)),
+        shard=ServePolicy(
+            queue_depth=draw(st.integers(1, 12)),
+            max_batch=draw(st.integers(1, 6)),
+            batch_window_ticks=draw(st.sampled_from([1, 2, 3, 80])),
+            shed=draw(st.sampled_from([SHED_OLDEST, REJECT_NEWEST])),
+        ),
+    )
+    arrivals = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, _PROP_TICKS - 1), st.integers(0, _PROP_USERS - 1)
+            ),
+            max_size=80,
+        )
+    )
+    trace = np.array(sorted(arrivals, key=lambda row: row[0]), dtype=np.int64)
+    crashes = draw(
+        st.lists(
+            st.builds(
+                CrashEvent,
+                node=st.integers(0, shards * replicas - 1),
+                at_epoch=st.integers(1, _PROP_TICKS + 5),
+                restart_after_ticks=st.none() | st.integers(1, 12),
+            ),
+            max_size=4,
+        )
+    )
+    return shards, replicas, policy, trace.reshape(-1, 2), tuple(crashes)
+
+
+class TestRunTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(_fleet_runs())
+    def test_conserves_requests_and_never_misroutes(self, run):
+        shards, replicas, policy, trace, crashes = run
+        obs = Observability.create()
+        balancer = _toy_fleet(shards, replicas, policy, obs.metrics)
+        completions = balancer.run_trace(trace, ticks=_PROP_TICKS, crashes=crashes)
+        assert balancer.offered == len(trace)
+        assert len(trace) == len(completions) + balancer.shed
+        assert balancer.idle()
+        assert obs.metrics.value("serve.fleet.routing_errors") == 0
+
+    def test_schedules_route_then_one_tick_per_shard(self):
+        balancer = _toy_fleet(3, 1, FleetPolicy(), None)
+        kernel = EventKernel()
+        balancer.run_trace(np.array([[0, 1], [2, 5]]), ticks=4, kernel=kernel)
+        assert kernel.processed == 4 * (1 + 3)
+        assert len(balancer.completions) == 2
+
+    def test_rejects_crash_outside_the_fleet(self):
+        balancer = _toy_fleet(2, 2, FleetPolicy(), None)
+        with pytest.raises(ValueError, match="outside the fleet"):
+            balancer.run_trace(
+                np.empty((0, 2), dtype=np.int64), ticks=1,
+                crashes=(CrashEvent(node=4, at_epoch=1),),
+            )
+
+    def test_long_batch_window_drains_instead_of_shedding(self):
+        # A window longer than the drain's stall grace must not strand
+        # queued work: the valve sheds only what no live replica holds.
+        policy = FleetPolicy(shard=ServePolicy(batch_window_ticks=100))
+        balancer = _toy_fleet(1, 1, policy, None)
+        balancer.run_trace(np.array([[0, 3], [1, 4]]), ticks=2)
+        assert len(balancer.completions) == 2
+        assert balancer.shed == 0 and balancer.idle()

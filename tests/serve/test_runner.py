@@ -6,12 +6,13 @@ on the synthetic MovieLens stand-in, and visible EPC pressure once the
 serving working set exceeds the usable EPC.
 """
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from repro.serve import run_serving_experiment
+from repro.serve import WorkloadSpec, run_serving_experiment
 from repro.serve.report import ServeReport, percentile
 from repro.tee.epc import EpcModel
 
@@ -49,6 +50,41 @@ class TestDeterminism:
         other = run_serving_experiment(**{**SMALL, "seed": 1})
         assert other.trace_digest != small_report.trace_digest
         assert set(other.to_dict()) == set(small_report.to_dict())
+
+
+#: ``repro.serve/v1`` SHA-256 digests recorded on the single-endpoint
+#: serving loop that preceded the one fleet driver; serving through a
+#: one-shard, one-replica fleet must reproduce them byte for byte.
+SMALL_REPORT_DIGEST = "59eed029489c58af68a78dff7504d59ed07d7df6ca33b54c7b839414fbc54bda"
+PRESSURED_REPORT_DIGEST = (
+    "a209cc27ea6b28256052da4310db2df59b247bfae91e1e495768967ceb5b29fb"
+)
+
+
+def _report_digest(report: ServeReport) -> str:
+    doc = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+class TestGolden:
+    def test_small_report_golden(self, small_report):
+        assert _report_digest(small_report) == SMALL_REPORT_DIGEST
+
+    def test_epc_pressured_report_golden(self):
+        report = run_serving_experiment(**SMALL, epc=EpcModel(1.0, 0.01))
+        assert _report_digest(report) == PRESSURED_REPORT_DIGEST
+
+
+class TestValidation:
+    @pytest.mark.parametrize("node_id", [-1, SMALL["nodes"]])
+    def test_node_id_outside_fleet_rejected(self, node_id):
+        with pytest.raises(ValueError, match="outside the fleet"):
+            run_serving_experiment(**{**SMALL, "node_id": node_id})
+
+    def test_workload_wider_than_dataset_rejected(self):
+        workload = WorkloadSpec(n_users=SMALL["users"] + 1)
+        with pytest.raises(ValueError, match="more users than the dataset"):
+            run_serving_experiment(**SMALL, workload=workload)
 
 
 class TestReportContents:

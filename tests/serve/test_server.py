@@ -8,6 +8,7 @@ is exact.
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.serve.fleet import FleetBalancer, FleetPolicy, HashRing, ShardReplica
 from repro.serve.server import (
     REJECT_NEWEST,
     SHED_OLDEST,
@@ -47,6 +48,22 @@ class _StubEnclave:
                 "touched_bytes": self.touched_bytes,
             },
         }
+
+
+def _stub_endpoint(policy, trace_len):
+    """A stub enclave as the one replica of a one-shard fleet.
+
+    The front door holds the whole trace, so only ``policy`` sheds --
+    the single-endpoint serving setup.  Returns ``(balancer, replica)``.
+    """
+    replica = ShardReplica(0, 0, lambda _incarnation: _StubEnclave(), policy=policy)
+    balancer = FleetBalancer(
+        HashRing([0]),
+        {0: [replica]},
+        policy=FleetPolicy(queue_depth=max(1, trace_len), shard=policy),
+    )
+    replica.boot(0, 1)
+    return balancer, replica
 
 
 class TestAdmission:

@@ -1,16 +1,10 @@
-"""Seeded workloads: trace determinism, Zipf skew, closed-loop drive."""
+"""Seeded workloads: trace determinism, Zipf skew, open-loop drive."""
 
 import numpy as np
 
-from repro.serve.server import RecServer, ServePolicy, SHED_OLDEST
-from repro.serve.workload import (
-    WorkloadGenerator,
-    WorkloadSpec,
-    run_closed_loop,
-    run_trace,
-    trace_digest,
-)
-from tests.serve.test_server import _StubEnclave
+from repro.serve.server import ServePolicy
+from repro.serve.workload import WorkloadGenerator, WorkloadSpec, trace_digest
+from tests.serve.test_server import _stub_endpoint
 
 
 class TestDeterminism:
@@ -55,24 +49,7 @@ class TestDrivers:
     def test_open_loop_offers_whole_trace(self):
         spec = WorkloadSpec(seed=1, n_users=20, ticks=30, rate=2.0)
         trace = WorkloadGenerator(spec).trace()
-        server = RecServer(_StubEnclave(), policy=ServePolicy(queue_depth=10_000))
-        completions = run_trace(server, trace)
-        assert server.offered == len(trace)
+        balancer, replica = _stub_endpoint(ServePolicy(queue_depth=10_000), len(trace))
+        completions = balancer.run_trace(trace, ticks=spec.ticks)
+        assert replica.server.offered == len(trace)
         assert len(completions) == len(trace)  # nothing shed at this depth
-
-    def test_closed_loop_finishes_every_request(self):
-        generator = WorkloadGenerator(WorkloadSpec(seed=2, n_users=20))
-        server = RecServer(_StubEnclave(), policy=ServePolicy())
-        completions = run_closed_loop(server, generator, clients=4, requests=40)
-        assert len(completions) == 40
-        assert server.queue_len == 0
-
-    def test_closed_loop_survives_shedding(self):
-        generator = WorkloadGenerator(WorkloadSpec(seed=2, n_users=20))
-        server = RecServer(
-            _StubEnclave(),
-            policy=ServePolicy(queue_depth=2, shed=SHED_OLDEST, batch_window_ticks=4),
-        )
-        completions = run_closed_loop(server, generator, clients=8, requests=60)
-        # every request either completed or was shed; none lost
-        assert len(completions) + server.shed_count == 60

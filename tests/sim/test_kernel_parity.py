@@ -11,7 +11,10 @@ byte or a float bit fails here:
   and ``total_network_bytes``;
 - fleet simulator: every :class:`~repro.sim.recorder.EpochRecord` field,
   floats as ``float.hex``, plus the kernel trace digest;
-- serving: the ``run_trace`` completion schedule.
+- serving: the completion schedule of the one serving driver
+  (:meth:`~repro.serve.fleet.balancer.FleetBalancer.run_trace`) on a
+  one-endpoint fleet, and the fleet runner's serving kernel (event
+  count and trace digest) plus its ``repro.serve-fleet/v1`` report.
 
 Long per-node lists are pinned through a SHA-256 over their rows; the
 totals next to each digest are pinned as literals so a failure shows
@@ -158,36 +161,79 @@ def test_fleet_kernel_populates_event_trace(tiny_split):
 
 
 # --------------------------------------------------------------------- #
-# Serving: kernel-scheduled serve.tick events.
+# Serving: kernel-scheduled serve.fleet.route and serve.tick events.
 # --------------------------------------------------------------------- #
 SERVE_COMPLETIONS = 55
 SERVE_TICKS = 30
 SERVE_COMPLETIONS_DIGEST = (
     "7563039b7dd557cdd14bc63a38630151a2d6a77f8ea823caa1ead83c5fe69ae8"
 )
-SERVE_TRACE_DIGEST = "696392cff7b03612ed8bfeaeee93387f6c0850c7351bddae93ef62a1440f0dff"
 
 
 def test_serve_trace_golden():
-    from repro.serve.server import RecServer, ServePolicy
-    from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace
+    from repro.serve.server import ServePolicy
+    from repro.serve.workload import WorkloadGenerator, WorkloadSpec
     from repro.sim.kernel import EventKernel
-    from tests.serve.test_server import _StubEnclave
+    from tests.serve.test_server import _stub_endpoint
 
     trace = WorkloadGenerator(WorkloadSpec(seed=4, n_users=20, ticks=30, rate=2.0)).trace()
-    shared = EventKernel()
-    # run_trace on its own kernel, then on a caller-supplied one.
-    for kernel in (None, shared):
-        server = RecServer(_StubEnclave(), policy=ServePolicy(queue_depth=8))
-        completions = run_trace(server, trace, kernel=kernel)
+    # The driver on its own kernel, then on a caller-supplied one.
+    for kernel in (None, EventKernel()):
+        balancer, replica = _stub_endpoint(ServePolicy(queue_depth=8), len(trace))
+        completions = balancer.run_trace(trace, ticks=SERVE_TICKS, kernel=kernel)
 
         assert len(completions) == SERVE_COMPLETIONS
-        assert server.tick == SERVE_TICKS
-        assert server.shed_count == 0
+        assert replica.server.tick == SERVE_TICKS
+        assert replica.server.shed_count == 0
         assert (
             _rows_digest((c.request_id, c.user, c.finish_s.hex()) for c in completions)
             == SERVE_COMPLETIONS_DIGEST
         )
-    # One serve.tick event per tick, plus the one that sees the horizon.
-    assert shared.processed == SERVE_TICKS + 1
-    assert shared.trace_digest() == SERVE_TRACE_DIGEST
+    # One route event and one serve.tick (one shard) per tick.
+    assert kernel.processed == 2 * SERVE_TICKS
+
+
+#: The fleet runner's serving kernel and report for the ``test_fleet``
+#: configuration: (kill plan?, events, kernel trace digest, report digest).
+FLEET_SERVE_GOLDEN = [
+    (
+        False,
+        600,
+        "f203786f1035f3611c5c639e19a438049036801029bead4e6bcffd9da87b9dad",
+        "887d0ba4180e504122bc2ef31bab0d71a2dfadbe644fa3828e3dd60135160159",
+    ),
+    (
+        True,
+        608,
+        "15449c6c4ebc9b49224db6fbdf3ee4494d89aa50b2c369cfb7c100244ad70c01",
+        "41b004b4bfa10d61557f27987256074a8083affbc95af21e8c7d10617928083c",
+    ),
+]
+
+
+@pytest.mark.parametrize("kill,events,trace_digest,report_digest", FLEET_SERVE_GOLDEN)
+def test_fleet_serve_kernel_golden(monkeypatch, kill, events, trace_digest, report_digest):
+    import json
+
+    import repro.serve.fleet.runner as runner
+    from repro.sim.kernel import EventKernel
+    from tests.serve.test_fleet import FLEET_KW, TRAFFIC
+
+    kernels = []
+
+    class CapturingKernel(EventKernel):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            kernels.append(self)
+
+    monkeypatch.setattr(runner, "EventKernel", CapturingKernel)
+    report = runner.run_fleet_experiment(
+        **FLEET_KW, traffic=TRAFFIC, kill_one_replica_per_shard=kill
+    )
+    # 120 ticks x (one route + one serve.tick per shard), plus one crash
+    # and one restart per shard under the kill plan.
+    assert len(kernels) == 1
+    assert kernels[0].processed == events
+    assert kernels[0].trace_digest() == trace_digest
+    doc = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == report_digest

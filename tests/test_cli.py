@@ -146,6 +146,19 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--shed", "drop-random"])
 
+    @pytest.mark.parametrize(
+        "extra", [["--node", "9"], ["--node", "-1"], ["--fleet", "--node", "-1"]]
+    )
+    def test_serve_node_id_validated(self, capsys, extra):
+        code = main(
+            [
+                "serve", "--nodes", "2", "--epochs", "1", "--ratings", "400",
+                "--users", "20", "--items", "30", "--ticks", "10", *extra,
+            ]
+        )
+        assert code == 2
+        assert "outside the fleet's 2 nodes" in capsys.readouterr().out
+
     def test_fleet_bench_small(self, capsys, tmp_path):
         import json
 
