@@ -12,8 +12,8 @@ for slower hardware / different lanes:
 
 - ``REPRO_BENCH_FLEET_SIZES``  comma-separated fleet sizes (CI runs the
   256-node point; the full 256/1k/4k curve is the local default)
-- ``REPRO_BENCH_FLEET_FLOOR_SPS``  sim-steps/s floor (default 50k; the
-  reference container measures millions)
+- ``REPRO_BENCH_FLEET_FLOOR_SPS``  sim-steps/s floor (default 1.5M; a
+  2-core x86 host measures a 6-10M median at 256 nodes)
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ SIZES = [
 ]
 CYCLES = int(os.environ.get("REPRO_BENCH_FLEET_CYCLES", "40"))
 
-#: Whole-fleet scheduling throughput floor (sim node-steps per second).
-#: The reference container measures 5-50M steps/s across the sweep; the
-#: floor leaves two orders of magnitude for noisy shared CI runners.
-FLOOR_SPS = float(os.environ.get("REPRO_BENCH_FLEET_FLOOR_SPS", "50000"))
+#: Whole-fleet scheduling throughput floor (sim node-steps per second),
+#: checked against each size's median of seven timed passes.  A 2-core
+#: x86 host measures 6-10M steps/s at 256 nodes and more at larger sizes;
+#: the floor sits 4-7x under that, close enough to fail on a real
+#: regression and far enough for a noisy shared CI runner.
+FLOOR_SPS = float(os.environ.get("REPRO_BENCH_FLEET_FLOOR_SPS", "1500000"))
 
 
 def test_fleet_scaling_curve():

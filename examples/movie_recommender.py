@@ -110,12 +110,11 @@ def main():
     )
     replica.boot(0, meta["version"])
     completions = balancer.run_trace(trace, ticks=workload.ticks)
-    server = replica.server
     latencies = [c.latency_s for c in completions]
     summary = ServeReport.latency_summary(latencies)
     print(f"served {len(completions)} queries: "
           f"p50 {summary['p50'] * 1e3:.2f} ms, p99 {summary['p99'] * 1e3:.2f} ms, "
-          f"{server.shed_count} shed")
+          f"{replica.total('serve.shed', policy=policy.shed):.0f} shed")
     hits = obs.metrics.value("serve.cache.hits", cache="topn")
     misses = obs.metrics.value("serve.cache.misses", cache="topn")
     print(f"result cache: {hits:.0f} hits / {misses:.0f} misses "
@@ -127,7 +126,7 @@ def main():
     node_users = sorted(set(train[node].users.tolist()))
     print(f"node {node} serves users {node_users[:5]}... "
           f"({len(node_users)} users)")
-    reply = server.enclave.ecall("ecall_serve", node_users[:3], TOP_K)
+    reply = enclave.ecall("ecall_serve", node_users[:3], TOP_K)
     for row, user in enumerate(node_users[:3]):
         recs = ", ".join(
             f"movie {item} ({score:.2f} stars)"

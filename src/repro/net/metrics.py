@@ -78,7 +78,7 @@ class TrafficMeter:
     """Per-node byte/message counters for one simulated network."""
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry.ensure(metrics)
 
     def record(self, source: int, destination: int, n_bytes: int, *, kind: str = "data") -> None:
         if n_bytes < 0:

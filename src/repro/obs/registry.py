@@ -164,6 +164,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
 
+    @classmethod
+    def ensure(cls, metrics: Optional["MetricsRegistry"]) -> "MetricsRegistry":
+        """``metrics`` itself, or a fresh registry when the caller has none."""
+        return cls() if metrics is None else metrics
+
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #

@@ -31,7 +31,12 @@ __all__ = ["LruCache", "TopNCache", "HotEmbeddingCache"]
 
 
 class LruCache:
-    """Bounded LRU mapping with obs counters; the base of both caches."""
+    """Bounded LRU mapping with obs counters; the base of both caches.
+
+    The cache remembers which snapshot version filled it; offering a
+    different version flushes every entry first, so a stale model can
+    never answer a query.
+    """
 
     def __init__(
         self,
@@ -45,27 +50,33 @@ class LruCache:
         self.capacity = int(capacity)
         self.name = name
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._metrics = metrics
+        self.version: Optional[int] = None
+        self.metrics = MetricsRegistry.ensure(metrics)
+        counter = self.metrics.counter
+        self._hits = counter("serve.cache.hits", cache=name)
+        self._misses = counter("serve.cache.misses", cache=name)
+        self._evictions = counter("serve.cache.evictions", cache=name)
+        self._invalidations = counter("serve.cache.invalidations", cache=name)
+        # Per-instance status for ``ecall_serve_status`` (the registry is run-wide).
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------ #
-    def _count(self, event: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"serve.cache.{event}", cache=self.name).inc()
+    def _sync_version(self, version: int) -> None:
+        if self.version != version:
+            self.invalidate()
+            self.version = version
 
     def get(self, key: Hashable):
         """Value for ``key`` or ``None``; a hit refreshes recency."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._count("misses")
+            self._misses.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._count("hits")
+        self._hits.inc()
         return entry
 
     def put(self, key: Hashable, value: object) -> None:
@@ -76,43 +87,25 @@ class LruCache:
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
-            self._count("evictions")
+            self._evictions.inc()
 
     def invalidate(self) -> int:
         """Drop everything (new snapshot version); returns entries dropped."""
         dropped = len(self._entries)
         self._entries.clear()
         if dropped:
-            self.invalidations += 1
-            self._count("invalidations")
+            self._invalidations.inc()
         return dropped
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class TopNCache(LruCache):
-    """(user, k) -> (items, scores) result cache, one snapshot at a time.
-
-    The cache remembers which snapshot version filled it; offering a
-    different version flushes every entry before any lookup, so a stale
-    model can never answer a query.
-    """
+    """(user, k) -> (items, scores) result cache, one snapshot at a time."""
 
     def __init__(self, capacity: int, *, metrics: Optional[MetricsRegistry] = None):
         super().__init__(capacity, name="topn", metrics=metrics)
-        self.version: Optional[int] = None
-
-    def _sync_version(self, version: int) -> None:
-        if self.version != version:
-            self.invalidate()
-            self.version = version
 
     def lookup(
         self, version: int, user: int, k: int
@@ -137,13 +130,7 @@ class HotEmbeddingCache(LruCache):
 
     def __init__(self, capacity: int, *, metrics: Optional[MetricsRegistry] = None):
         super().__init__(capacity, name="embedding", metrics=metrics)
-        self.version: Optional[int] = None
         self._entry_bytes = 0
-
-    def _sync_version(self, version: int) -> None:
-        if self.version != version:
-            self.invalidate()
-            self.version = version
 
     def lookup(self, version: int, user: int) -> Optional[Tuple[np.ndarray, float]]:
         self._sync_version(version)

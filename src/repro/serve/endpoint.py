@@ -64,9 +64,13 @@ class ServingState:
         self.snapshot: Optional[ModelSnapshot] = None
         self.exclusions: Dict[int, np.ndarray] = {}
         self._exclusion_bytes = 0
-        self.topn = TopNCache(topn_capacity, metrics=metrics)
-        self.hot = HotEmbeddingCache(hot_capacity, metrics=metrics)
-        self._metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
+        self.topn = TopNCache(topn_capacity, metrics=self.metrics)
+        self.hot = HotEmbeddingCache(hot_capacity, metrics=self.metrics)
+        self._requests = self.metrics.counter("serve.requests")
+        self._batches = self.metrics.counter("serve.batches")
+        self._scored_pairs = self.metrics.counter("serve.scored.pairs")
+        # Per-enclave status for ``ecall_serve_status`` (the registry is run-wide).
         self.queries_served = 0
         self.batches_served = 0
 
@@ -170,10 +174,9 @@ class ServingState:
 
         self.queries_served += stats.requests
         self.batches_served += 1
-        if self._metrics is not None:
-            self._metrics.counter("serve.requests").inc(stats.requests)
-            self._metrics.counter("serve.batches").inc()
-            self._metrics.counter("serve.scored.pairs").inc(stats.scored_pairs)
+        self._requests.inc(stats.requests)
+        self._batches.inc()
+        self._scored_pairs.inc(stats.scored_pairs)
         return out_items, out_scores, stats
 
 
@@ -201,9 +204,8 @@ class ServeEnclaveApp(TrustedApp):
         if args.get("require_newer"):
             self._monotonic = True
         if getattr(self, "_monotonic", False) and snapshot.version <= high_water:
-            metrics = self.ctx.metrics
-            if metrics is not None:
-                metrics.counter("faults.rejected", kind="replay_snapshot").inc()
+            metrics = MetricsRegistry.ensure(self.ctx.metrics)
+            metrics.counter("faults.rejected", kind="replay_snapshot").inc()
             raise SnapshotReplayError(
                 "snapshot load refused: version is at or below the served "
                 "high-water mark"

@@ -23,6 +23,10 @@ single-endpoint :class:`~repro.serve.server.RecServer` -- the fleet adds
 routing around it, not a second pricing path (the costing parity test
 pins this).
 
+Every count lives in the metrics registry.  Each enclave incarnation's
+server counts under its own ``incarnation`` label, so a crash loses no
+count and :meth:`ShardReplica.total` sums them back up.
+
 Shared module: the balancer sees only opaque enclave handles, global
 user ids and sanitized counters -- never model state or raw ratings.
 """
@@ -78,18 +82,7 @@ class FleetPolicy:
             raise ValueError("global queue depth must be positive")
 
     def to_dict(self) -> dict:
-        shard = self.shard
-        return {
-            "queue_depth": self.queue_depth,
-            "shard": {
-                "top_k": shard.top_k,
-                "queue_depth": shard.queue_depth,
-                "max_batch": shard.max_batch,
-                "batch_window_ticks": shard.batch_window_ticks,
-                "shed": shard.shed,
-                "tick_s": shard.tick_s,
-            },
-        }
+        return {"queue_depth": self.queue_depth, "shard": self.shard.to_dict()}
 
 
 class ShardReplica:
@@ -98,8 +91,8 @@ class ShardReplica:
     The ``enclave_factory`` callable (provided by the runner, which owns
     the platform and the shard's current load payload) boots a fresh
     enclave incarnation already loaded with the shard's current
-    snapshot; the replica itself only tracks liveness, the version it
-    serves, and accumulated counters across incarnations.
+    snapshot; the replica itself only tracks liveness and the version it
+    serves.
     """
 
     def __init__(
@@ -117,37 +110,36 @@ class ShardReplica:
         self.shard_id = int(shard_id)
         self.replica_id = int(replica_id)
         self._factory = enclave_factory
-        self._policy = policy if policy is not None else _default_shard_policy()
-        self._costs = costs
-        self._sgx = sgx
         self._epc = epc
-        self._metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
+        self._new_server = partial(
+            RecServer,
+            policy=policy if policy is not None else _default_shard_policy(),
+            costs=costs,
+            sgx=sgx,
+            epc=epc,
+            metrics=self.metrics,
+        )
+        self.labels = {"shard": self.shard_id, "replica": self.replica_id}
+        self._crashes = self.metrics.counter("serve.fleet.crashes", **self.labels)
+        self._restarts = self.metrics.counter("serve.fleet.restarts", **self.labels)
         self.server: Optional[RecServer] = None
         self.alive = False
         self.stale = False
         self.version = 0
+        #: Incarnations booted so far; the next one gets this index.
         self.incarnation = 0
-        self.crashes = 0
-        self.restarts = 0
-        self._completed_accum = 0
-        self._busy_accum = 0.0
-        self._faults_accum = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def boot(self, tick: int, version: int) -> None:
         """Stand up a fresh enclave incarnation serving ``version``."""
-        enclave = self._factory(self.incarnation)
-        self.incarnation += 1
-        self.server = RecServer(
-            enclave,
-            policy=self._policy,
-            costs=self._costs,
-            sgx=self._sgx,
-            epc=self._epc,
-            metrics=self._metrics,
+        self.server = self._new_server(
+            self._factory(self.incarnation),
+            labels={**self.labels, "incarnation": self.incarnation},
         )
+        self.incarnation += 1
         self.server.tick = int(tick)
         self.alive = True
         self.stale = False
@@ -155,20 +147,17 @@ class ShardReplica:
 
     def kill(self) -> List[int]:
         """Crash the replica; returns the queued users needing failover."""
-        self.crashes += 1
+        self._crashes.inc()
         self.alive = False
         queued: List[int] = []
         if self.server is not None:
             queued = [r.user for r in self.server.evict_queue()]
-            self._completed_accum += len(self.server.completions)
-            self._busy_accum += self.server.busy_s
-            self._faults_accum += self.server.page_faults
             self.server = None
         return queued
 
     def restart(self, tick: int, version: int) -> None:
         """Re-join the fleet with a fresh incarnation at ``version``."""
-        self.restarts += 1
+        self._restarts.inc()
         self.boot(tick, version)
 
     def load(self, load_args: dict, version: int) -> dict:
@@ -189,20 +178,19 @@ class ShardReplica:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    @property
-    def completed(self) -> int:
-        live = len(self.server.completions) if self.server is not None else 0
-        return self._completed_accum + live
+    def total(self, name: str, **labels: object) -> float:
+        """Counter ``name`` summed over this replica's incarnations.
 
-    @property
-    def busy_s(self) -> float:
-        live = self.server.busy_s if self.server is not None else 0.0
-        return self._busy_accum + live
-
-    @property
-    def page_faults(self) -> float:
-        live = self.server.page_faults if self.server is not None else 0.0
-        return self._faults_accum + live
+        The sum runs oldest incarnation first: one fixed addition order, so
+        float totals (``busy_s``, page faults) are bit-reproducible.
+        """
+        return sum(
+            (
+                self.metrics.value(name, **self.labels, incarnation=i, **labels)
+                for i in range(self.incarnation)
+            ),
+            0.0,
+        )
 
     @property
     def resident_bytes(self) -> int:
@@ -234,33 +222,29 @@ class FleetBalancer:
             shard: list(replicas[shard]) for shard in ring.shard_ids
         }
         self.policy = policy if policy is not None else FleetPolicy()
-        self.metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
         self.shard_version: Dict[int, int] = {s: 0 for s in ring.shard_ids}
         self._pending: Deque[int] = deque()
         self.completions: List[Completion] = []
-        self.offered = 0
-        self.routed = 0
-        self.failover = 0
-        self.shed = 0
-        self.deferred = 0
-        self.stale_rejected = 0
+        counter = self.metrics.counter
+        self._offered = counter("serve.fleet.offered")
+        self._routed = counter("serve.fleet.routed")
+        self._failover = counter("serve.fleet.failover")
+        self._shed = counter("serve.fleet.shed")
+        self._deferred = counter("serve.fleet.deferred")
+        self._stale_rejected = counter("serve.fleet.stale_rejected")
 
     # ------------------------------------------------------------------ #
     # Front door
     # ------------------------------------------------------------------ #
     def offer(self, user: int) -> bool:
         """Offer one query to the global queue; sheds past the bound."""
-        self.offered += 1
+        self._offered.inc()
         if len(self._pending) >= self.policy.queue_depth:
-            self._count_shed()
+            self._shed.inc()
             return False
         self._pending.append(int(user))
         return True
-
-    def _count_shed(self, count: int = 1) -> None:
-        self.shed += count
-        if self.metrics is not None:
-            self.metrics.counter("serve.fleet.shed").inc(count)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -286,7 +270,7 @@ class FleetBalancer:
             shard = self.ring.route(user)
             candidates = self._candidates(shard)
             if not candidates:
-                self.deferred += 1
+                self._deferred.inc()
                 remaining.append(user)
                 continue
             siblings = self.replicas[shard]
@@ -295,16 +279,12 @@ class FleetBalancer:
                 target = preferred
             else:
                 target = candidates[0]  # deterministic: replica-id order
-                self.failover += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.failover").inc()
+                self._failover.inc()
             assert target.server is not None
             if target.server.offer(user) < 0:
-                self._count_shed()
+                self._shed.inc()
             else:
-                self.routed += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.routed").inc()
+                self._routed.inc()
         self._pending = remaining
 
     # ------------------------------------------------------------------ #
@@ -322,7 +302,7 @@ class FleetBalancer:
             # admitted work: count them as fleet losses too.
             victims = replica.server.take_shed()
             if victims:
-                self._count_shed(len(victims))
+                self._shed.inc(len(victims))
         self.completions.extend(out)
         return out
 
@@ -339,10 +319,7 @@ class FleetBalancer:
         # (they were admitted first) and re-route this tick; each is a
         # failover by definition.
         self._pending.extendleft(reversed(queued))
-        if queued:
-            self.failover += len(queued)
-            if self.metrics is not None:
-                self.metrics.counter("serve.fleet.failover").inc(len(queued))
+        self._failover.inc(len(queued))
         return len(queued)
 
     def restart_replica(self, shard: int, replica_id: int, tick: int) -> None:
@@ -366,10 +343,8 @@ class FleetBalancer:
             try:
                 replica.load(load_args, version)
             except SnapshotReplayError:
-                self.stale_rejected += 1
+                self._stale_rejected.inc()
                 replica.stale = True
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.stale_rejected").inc()
         self.shard_version[shard] = max(self.shard_version[shard], version)
 
     # ------------------------------------------------------------------ #
@@ -394,9 +369,8 @@ class FleetBalancer:
     def shed_pending(self) -> int:
         """Shed everything still in the global queue (undrainable fleet)."""
         count = len(self._pending)
-        if count:
-            self._count_shed(count)
-            self._pending.clear()
+        self._shed.inc(count)
+        self._pending.clear()
         return count
 
     # ------------------------------------------------------------------ #

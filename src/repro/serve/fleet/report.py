@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
-from repro.serve.report import ServeReport
-
 __all__ = ["FleetServeReport"]
 
 
@@ -68,10 +66,6 @@ class FleetServeReport:
     @property
     def aggregate_resident_bytes(self) -> int:
         return sum(int(s["epc"]["resident_bytes"]) for s in self.per_shard)
-
-    @classmethod
-    def latency_summary(cls, latencies) -> Dict[str, float]:
-        return ServeReport.latency_summary(latencies)
 
     def to_dict(self) -> dict:
         doc = {"schema": "repro.serve-fleet/v1"}

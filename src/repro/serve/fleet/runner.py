@@ -45,6 +45,7 @@ from repro.serve.fleet.shard import (
     build_shard_payload,
     encode_shard_users,
 )
+from repro.serve.report import ServeReport
 from repro.serve.workload import TrafficModel, TrafficSpec, trace_digest
 from repro.sim.fleet import MfFleetSim
 from repro.sim.kernel import EventKernel
@@ -306,10 +307,17 @@ def run_fleet_experiment(
     # ------------------------------------------------------------------ #
     # Report.
     # ------------------------------------------------------------------ #
+    # Every admission, time and fault count is read back from the registry;
+    # replica totals sum incarnations, fleet totals sum replicas shard by shard.
+    metrics = obs.metrics
     completions = balancer.completions
     latencies = [c.latency_s for c in completions]
     duration = max((c.finish_s for c in completions), default=0.0)
     all_replicas = [r for reps in replica_map.values() for r in reps]
+
+    def count(name: str, **labels: object) -> int:
+        return int(metrics.value(f"serve.fleet.{name}", **labels))
+
     per_shard = []
     for shard in ring.shard_ids:
         reps = replica_map[shard]
@@ -324,7 +332,7 @@ def run_fleet_experiment(
                     "resident_bytes": int(resident),
                     "cap_bytes": cap,
                     "overcommit": resident / cap if cap else 0.0,
-                    "page_faults": float(sum(r.page_faults for r in reps)),
+                    "page_faults": sum(r.total("serve.epc.page_faults") for r in reps),
                 },
                 "replicas": [
                     {
@@ -332,9 +340,9 @@ def run_fleet_experiment(
                         "alive": r.alive,
                         "version": r.version,
                         "incarnations": r.incarnation,
-                        "crashes": r.crashes,
-                        "restarts": r.restarts,
-                        "completed": r.completed,
+                        "crashes": count("crashes", **r.labels),
+                        "restarts": count("restarts", **r.labels),
+                        "completed": int(r.total("serve.completed")),
                     }
                     for r in reps
                 ],
@@ -348,19 +356,19 @@ def run_fleet_experiment(
         trace_digest=trace_digest(trace),
         ring_digest=ring.digest(),
         policy=policy.to_dict(),
-        offered=balancer.offered,
-        routed=balancer.routed,
-        failover=balancer.failover,
-        shed=balancer.shed,
-        deferred=balancer.deferred,
-        stale_rejected=balancer.stale_rejected,
-        routing_errors=int(obs.metrics.value("serve.fleet.routing_errors")),
-        completed=len(completions),
+        offered=count("offered"),
+        routed=count("routed"),
+        failover=count("failover"),
+        shed=count("shed"),
+        deferred=count("deferred"),
+        stale_rejected=count("stale_rejected"),
+        routing_errors=count("routing_errors"),
+        completed=sum(int(r.total("serve.completed")) for r in all_replicas),
         duration_s=duration,
         throughput_rps=len(completions) / duration if duration > 0 else 0.0,
-        busy_s=float(sum(r.busy_s for r in all_replicas)),
-        latency_s=FleetServeReport.latency_summary(latencies),
-        crashes=sum(r.crashes for r in all_replicas),
-        restarts=sum(r.restarts for r in all_replicas),
+        busy_s=sum(r.total("serve.busy_s") for r in all_replicas),
+        latency_s=ServeReport.latency_summary(latencies),
+        crashes=int(metrics.total("serve.fleet.crashes")),
+        restarts=int(metrics.total("serve.fleet.restarts")),
         per_shard=per_shard,
     )

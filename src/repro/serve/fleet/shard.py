@@ -108,6 +108,7 @@ class ShardEnclaveApp(ServeEnclaveApp):
         if len(self._owned) != len(owned):
             raise ValueError("owned-user table contains duplicates")
         self.unowned_queries = getattr(self, "unowned_queries", 0)
+        self._routing_errors = self.serving.metrics.counter("serve.fleet.routing_errors")
         ratings = args.get("ratings")
         if ratings is not None:
             # Exclusion ratings arrive with global user ids; keep only
@@ -144,9 +145,7 @@ class ShardEnclaveApp(ServeEnclaveApp):
                 local.append(idx)
         if unowned:
             self.unowned_queries += unowned
-            metrics = self.ctx.metrics
-            if metrics is not None:
-                metrics.counter("serve.fleet.routing_errors").inc(unowned)
+            self._routing_errors.inc(unowned)
         if local:
             items, scores, stats = self.serving.query_batch(local, k)
         else:

@@ -199,7 +199,6 @@ def run_serving_experiment(
     )
     replica.boot(0, 1)
     completions = balancer.run_trace(trace, ticks=workload.ticks)
-    server = replica.server
 
     # Cache effectiveness of the *load phase* only: the quality probe
     # below would otherwise pollute the counters it is reported next to.
@@ -213,7 +212,7 @@ def run_serving_experiment(
     }
     resident = float(enclave.memory.resident_bytes)
     epc_stats = {
-        "page_faults": server.page_faults,
+        "page_faults": replica.total("serve.epc.page_faults"),
         "resident_bytes": resident,
         "overcommit_ratio": platform.epc.overcommit_ratio(resident),
         "share_bytes": platform.epc.share_bytes,
@@ -231,22 +230,15 @@ def run_serving_experiment(
         snapshot_version=meta["version"],
         workload=workload.to_dict(),
         trace_digest=trace_digest(trace),
-        policy={
-            "top_k": policy.top_k,
-            "queue_depth": policy.queue_depth,
-            "max_batch": policy.max_batch,
-            "batch_window_ticks": policy.batch_window_ticks,
-            "shed": policy.shed,
-            "tick_s": policy.tick_s,
-        },
+        policy=policy.to_dict(),
         k=policy.top_k,
-        offered=server.offered,
-        admitted=server.admitted,
-        shed=server.shed_count,
-        completed=len(server.completions),
+        offered=int(replica.total("serve.offered")),
+        admitted=int(replica.total("serve.admitted")),
+        shed=int(replica.total("serve.shed", policy=policy.shed)),
+        completed=int(replica.total("serve.completed")),
         duration_s=duration,
         throughput_rps=len(completions) / duration if duration > 0 else 0.0,
-        busy_s=server.busy_s,
+        busy_s=replica.total("serve.busy_s"),
         latency_s=ServeReport.latency_summary(latencies),
         cache=cache,
         epc=epc_stats,

@@ -16,6 +16,9 @@ real deployment's front-end owns:
   model, on the same simulated tick clock the rest of the repo uses.
   No wall clock is read anywhere.
 
+Every count (``serve.offered``/``admitted``/``shed``/``completed``/
+``busy_s``) lives in the metrics registry, bound once under the owner's labels.
+
 Paging pressure is *observable*: when the serving working set exceeds
 the enclave's EPC share, the per-batch fault estimate lands in
 ``serve.epc.page_faults`` and ``tee.epc.page_faults{stage=serve}``,
@@ -25,8 +28,8 @@ mirroring the paper's beyond-EPC analysis (Fig. 7).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Deque, List, Mapping, Optional
 
 from repro.obs import MetricsRegistry
 from repro.serve.costing import ServeCostModel, price_batch
@@ -91,8 +94,15 @@ class ServePolicy:
     def __post_init__(self) -> None:
         if self.shed not in (SHED_OLDEST, REJECT_NEWEST):
             raise ValueError(f"unknown shed policy {self.shed!r}")
-        if self.queue_depth < 1 or self.max_batch < 1:
-            raise ValueError("queue_depth and max_batch must be positive")
+        bounds = (("top_k", 1), ("queue_depth", 1), ("max_batch", 1), ("batch_window_ticks", 0))
+        for name, lowest in bounds:
+            if getattr(self, name) < lowest:
+                raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
+        if not self.tick_s > 0:  # also rejects NaN
+            raise ValueError(f"tick_s must be positive, got {self.tick_s}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 class RecServer:
@@ -107,24 +117,30 @@ class RecServer:
         sgx: SgxCostModel = SGX1_COST_MODEL,
         epc: Optional[EpcModel] = None,
         metrics: Optional[MetricsRegistry] = None,
+        labels: Optional[Mapping[str, object]] = None,
     ):
         self.enclave = enclave
         self.policy = policy if policy is not None else ServePolicy()
         self.costs = costs if costs is not None else ServeCostModel()
         self.sgx = sgx
         self.epc = epc if epc is not None else EpcModel()
-        self.metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
         self.tick = 0
-        self.completions: List[Completion] = []
-        self.offered = 0
-        self.admitted = 0
-        self.shed_count = 0
-        self.page_faults = 0.0
+        labels = labels or {}
+        counter = self.metrics.counter
+        self._offered = counter("serve.offered", **labels)
+        self._admitted = counter("serve.admitted", **labels)
+        self._shed = counter("serve.shed", policy=self.policy.shed, **labels)
+        self._completed = counter("serve.completed", **labels)
         #: Simulated seconds the enclave spent serving dispatched batches
         #: (the *service window* -- idle queue time excluded).  This is
         #: the denominator of the capacity-style throughput the serve
         #: benchmark computes consistently for every scenario.
-        self.busy_s = 0.0
+        self._busy_s = counter("serve.busy_s", **labels)
+        self._page_faults = counter("serve.epc.page_faults", **labels)
+        self._tee_page_faults = counter("tee.epc.page_faults", stage="serve")
+        self._overcommit = self.metrics.gauge("tee.epc.overcommit_ratio")
+        self._latency = self.metrics.histogram("serve.latency_s", buckets=LATENCY_BUCKETS)
         self._queue: Deque[Request] = deque()
         self._shed_ids: List[int] = []
         self._next_id = 0
@@ -147,18 +163,17 @@ class RecServer:
         ``shed-oldest`` the new query is always admitted and the dropped
         request's id is recorded for :meth:`take_shed`.
         """
-        self.offered += 1
+        self._offered.inc()
         if len(self._queue) >= self.policy.queue_depth:
+            self._shed.inc()
             if self.policy.shed == REJECT_NEWEST:
-                self._count_shed()
                 return -1
             dropped = self._queue.popleft()  # shed-oldest: stale work makes room
             self._shed_ids.append(dropped.request_id)
-            self._count_shed()
         request_id = self._next_id
         self._queue.append(Request(request_id, int(user), self.tick))
         self._next_id += 1
-        self.admitted += 1
+        self._admitted.inc()
         return request_id
 
     def evict_queue(self) -> List[Request]:
@@ -177,11 +192,6 @@ class RecServer:
         """Ids of shed-oldest victims since the last call (then cleared)."""
         shed, self._shed_ids = self._shed_ids, []
         return shed
-
-    def _count_shed(self) -> None:
-        self.shed_count += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.shed", policy=self.policy.shed).inc()
 
     # ------------------------------------------------------------------ #
     # The tick loop
@@ -220,7 +230,7 @@ class RecServer:
         reply = self.enclave.ecall("ecall_serve", users, k)
         stats = reply["stats"]
         service_s = self._service_time(stats, len(batch))
-        self.busy_s += service_s
+        self._busy_s.inc(service_s)
 
         # The enclave is a serial resource: a batch starts when the
         # previous one finishes (or now, if idle).
@@ -233,12 +243,9 @@ class RecServer:
             Completion(r.request_id, r.user, r.arrival_tick * tick_s, finish_s)
             for r in batch
         ]
-        self.completions.extend(completions)
-        if self.metrics is not None:
-            hist = self.metrics.histogram("serve.latency_s", buckets=LATENCY_BUCKETS)
-            for c in completions:
-                hist.observe(c.latency_s)
-            self.metrics.counter("serve.completed").inc(len(completions))
+        for c in completions:
+            self._latency.observe(c.latency_s)
+        self._completed.inc(len(completions))
         return completions
 
     # ------------------------------------------------------------------ #
@@ -257,15 +264,9 @@ class RecServer:
             resident_bytes=resident,
         )
         if cost.page_faults:
-            self.page_faults += cost.page_faults
-            if self.metrics is not None:
-                self.metrics.counter("serve.epc.page_faults").inc(cost.page_faults)
-                self.metrics.counter("tee.epc.page_faults", stage="serve").inc(
-                    cost.page_faults
-                )
-                self.metrics.gauge("tee.epc.overcommit_ratio").set(
-                    self.epc.overcommit_ratio(resident)
-                )
+            self._page_faults.inc(cost.page_faults)
+            self._tee_page_faults.inc(cost.page_faults)
+            self._overcommit.set(self.epc.overcommit_ratio(resident))
         return cost.service_s
 
     # ------------------------------------------------------------------ #

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def _check_shape(spec, *, rate: str) -> None:
+    """Reject a trace shape numpy would only fail on mid-run (NaN rates too)."""
+    for name, lowest in (("n_users", 1), ("ticks", 0), (rate, 0)):
+        if not getattr(spec, name) >= lowest:
+            raise ValueError(f"{name} must be >= {lowest}, got {getattr(spec, name)}")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Shape of one synthetic query workload."""
@@ -46,6 +53,9 @@ class WorkloadSpec:
     rate: float = 4.0
     #: Zipf popularity exponent; 0 means uniform traffic.
     zipf_s: float = 1.1
+
+    def __post_init__(self) -> None:
+        _check_shape(self, rate="rate")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,6 +135,7 @@ class TrafficSpec:
     pareto_alpha: float = 1.5
 
     def __post_init__(self) -> None:
+        _check_shape(self, rate="peak_rate")
         if self.day_night_ratio < 1.0:
             raise ValueError("day/night ratio must be >= 1 (peak over trough)")
         if self.diurnal_period < 2:

@@ -21,6 +21,7 @@ fanout, cycles)``.
 from __future__ import annotations
 
 import json
+import statistics
 import tracemalloc
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -180,13 +181,20 @@ class FleetBenchPoint:
         return asdict(self)
 
 
+#: Timed passes per fleet size; the report carries their median.
+TIMED_PASSES = 7
+
+
 class FleetScaleRunner:
     """Sweep fleet sizes through the kernel-driven gossip experiment.
 
-    Two passes per size: a clean timed pass (``steps_per_s``), then an
-    identical pass under :mod:`tracemalloc` for the peak resident bytes
-    of the simulation state (the allocation tracer slows execution, so
-    it must never contaminate the throughput number).
+    Per size: :data:`TIMED_PASSES` clean timed passes, each on a fresh
+    seeded sim, whose median wall time gives ``steps_per_s`` (one pass
+    lasts a few milliseconds, so a single timing is mostly scheduler
+    noise); then an identical pass under :mod:`tracemalloc` for the peak
+    resident bytes of the simulation state (the allocation tracer slows
+    execution, so it must never contaminate the throughput number).
+    Every timed pass must dispatch the same kernel trace.
 
     ``clock`` is the injected wall-clock (callers pass
     ``time.perf_counter``), the same idiom as
@@ -223,8 +231,8 @@ class FleetScaleRunner:
             fanout=self.fanout,
         )
 
-    def _measure(self, n_nodes: int) -> FleetBenchPoint:
-        # Timed pass: build outside the clock, run inside it.
+    def _timed_pass(self, n_nodes: int):
+        # Build outside the clock, run inside it.
         sim = self._build(n_nodes)
         kernel = EventKernel()
         sim.schedule(kernel, self.cycles)
@@ -232,6 +240,14 @@ class FleetScaleRunner:
         kernel.run()
         wall = self.clock() - t0
         sim._deliver()
+        return sim, kernel, wall
+
+    def _measure(self, n_nodes: int) -> FleetBenchPoint:
+        passes = [self._timed_pass(n_nodes) for _ in range(TIMED_PASSES)]
+        if len({kernel.trace_digest() for _, kernel, _ in passes}) != 1:
+            raise RuntimeError(f"{n_nodes}-node timed passes dispatched different traces")
+        sim, kernel, _ = passes[0]
+        wall = statistics.median(wall for _, _, wall in passes)
 
         # Memory pass: same seeded experiment under the allocation tracer.
         tracing_already = tracemalloc.is_tracing()

@@ -13,7 +13,6 @@ class TestLruCache:
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
 
     def test_capacity_bound_evicts_lru(self):
         cache = LruCache(2, name="t")
@@ -22,7 +21,8 @@ class TestLruCache:
         cache.get("a")  # refresh a; b is now the LRU entry
         cache.put("c", 3)
         assert cache.get("b") is None and cache.get("a") == 1
-        assert cache.evictions == 1 and len(cache) == 2
+        assert cache.metrics.value("serve.cache.evictions", cache="t") == 1
+        assert len(cache) == 2
 
     def test_zero_capacity_never_stores(self):
         cache = LruCache(0, name="t")
@@ -34,7 +34,8 @@ class TestLruCache:
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.invalidate() == 2
-        assert len(cache) == 0 and cache.invalidations == 1
+        assert len(cache) == 0
+        assert cache.metrics.value("serve.cache.invalidations", cache="t") == 1
 
     def test_metrics_counters_labelled_by_cache(self):
         metrics = MetricsRegistry()
@@ -67,7 +68,8 @@ class TestTopNCache:
         cache = TopNCache(8)
         cache.store(1, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
         assert cache.lookup(2, user=7, k=3) is None  # v2 published
-        assert len(cache) == 0 and cache.invalidations == 1
+        assert len(cache) == 0
+        assert cache.metrics.value("serve.cache.invalidations", cache="topn") == 1
         # and the old version cannot resurrect its entries either
         cache.store(2, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
         assert cache.lookup(1, user=7, k=3) is None

@@ -103,8 +103,11 @@ class TestServerParity:
             epc=epc,
             resident_bytes=float(resident),
         )
-        assert server.busy_s == pytest.approx(expected.service_s)
-        assert server.page_faults == pytest.approx(expected.page_faults)
+        metrics = server.metrics
+        assert metrics.value("serve.busy_s") == pytest.approx(expected.service_s)
+        assert metrics.value("serve.epc.page_faults") == pytest.approx(
+            expected.page_faults
+        )
         # All five arrived at tick 0 and dispatched in the same tick:
         # latency is exactly the priced service time.
         latency = completions[0].latency_s
@@ -115,8 +118,8 @@ class TestServerParity:
         server = RecServer(enclave, policy=ServePolicy(batch_window_ticks=1))
         server.offer(0)
         server.step()
-        first = server.busy_s
+        first = server.metrics.value("serve.busy_s")
         assert first > 0.0
         server.offer(1)
         server.step()
-        assert server.busy_s > first
+        assert server.metrics.value("serve.busy_s") > first

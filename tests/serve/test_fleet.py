@@ -192,6 +192,44 @@ class TestFleetRuns:
         # an admission bound -- none vanished with the crashed enclaves.
         assert report.offered == report.completed + report.shed
 
+    def test_crashed_incarnation_keeps_its_counts(self):
+        """A killed enclave's counts stay in the registry under its
+        incarnation label, and the report sums them back up."""
+        obs = Observability.create()
+        crash = CrashEvent(node=0, at_epoch=60, restart_after_ticks=5)
+        report = run_fleet_experiment(
+            **FLEET_KW, traffic=TRAFFIC, crashes=(crash,), epc_cap_mib=0.01, obs=obs
+        )
+        m = obs.metrics
+
+        def per_incarnation(name, shard, replica, incarnations):
+            return [
+                m.value(name, shard=shard, replica=replica, incarnation=i)
+                for i in range(incarnations)
+            ]
+
+        first = dict(shard=0, replica=0, incarnation=0)
+        assert m.value("serve.completed", **first) > 0
+        assert m.value("serve.busy_s", **first) > 0
+        assert m.value("serve.epc.page_faults", **first) > 0
+
+        victim = report.per_shard[0]["replicas"][0]
+        assert victim["incarnations"] == 2 and victim["crashes"] == 1
+        assert victim["completed"] == sum(
+            per_incarnation("serve.completed", 0, 0, 2)
+        )
+        replica_busy = []
+        for shard in report.per_shard:
+            for rep in shard["replicas"]:
+                key = (shard["shard"], rep["replica"], rep["incarnations"])
+                assert rep["completed"] == sum(per_incarnation("serve.completed", *key))
+                replica_busy.append(sum(per_incarnation("serve.busy_s", *key), 0.0))
+        assert report.completed == sum(
+            rep["completed"] for shard in report.per_shard for rep in shard["replicas"]
+        )
+        # Incarnations first, then replicas shard by shard: the same bits.
+        assert report.busy_s == sum(replica_busy)
+
     def test_per_shard_epc_caps_hold_while_aggregate_exceeds_them(self):
         report = run_fleet_experiment(**FLEET_KW, traffic=TRAFFIC)
         caps = [s["epc"]["cap_bytes"] for s in report.per_shard]
@@ -225,6 +263,11 @@ class TestFleetRuns:
 # --------------------------------------------------------------------- #
 # Balancer-level failover mechanics (stub-free, real enclaves)
 # --------------------------------------------------------------------- #
+def _count(balancer, name):
+    """One of the balancer's ``serve.fleet.*`` counters."""
+    return balancer.metrics.value(f"serve.fleet.{name}")
+
+
 def _mini_fleet(metrics=None):
     """One shard, two replicas over toy arrays; returns the balancer."""
     owned = np.arange(12, dtype=np.int64)
@@ -291,8 +334,8 @@ class TestFailoverMechanics:
             balancer.route_pending()
             balancer.step_shard(0)
         assert len(balancer.completions) == 6
-        assert balancer.shed == 0
-        assert balancer.failover >= moved
+        assert _count(balancer, "shed") == 0
+        assert _count(balancer, "failover") >= moved
 
     def test_all_dead_defers_then_restart_recovers(self):
         balancer, replicas, _ = _mini_fleet()
@@ -300,7 +343,7 @@ class TestFailoverMechanics:
         balancer.kill_replica(0, 1)
         balancer.offer(4)
         balancer.route_pending()
-        assert balancer.deferred == 1 and balancer.pending_len == 1
+        assert _count(balancer, "deferred") == 1 and balancer.pending_len == 1
         balancer.restart_replica(0, 1, tick=5)
         assert replicas[1].alive and replicas[1].version == 1
         assert replicas[1].incarnation == 2  # fresh enclave incarnation
@@ -319,7 +362,7 @@ class TestFailoverMechanics:
         with pytest.raises(SnapshotReplayError):
             replicas[0].server.enclave.ecall("ecall_load", payload(2))
         balancer.publish(0, payload(2), 2)
-        assert balancer.stale_rejected == 1
+        assert _count(balancer, "stale_rejected") == 1
         assert replicas[0].stale and not replicas[1].stale
         assert balancer.shard_version[0] == 2
         # Routing now avoids the stale replica entirely.
@@ -329,7 +372,7 @@ class TestFailoverMechanics:
         assert replicas[0].server.queue_len == 0
         assert replicas[1].server.queue_len == 6
         # Failover was counted for users whose preferred replica was 0.
-        assert balancer.failover == sum(1 for u in range(6) if u % 2 == 0)
+        assert _count(balancer, "failover") == sum(1 for u in range(6) if u % 2 == 0)
 
     def test_fleet_counters_land_in_obs(self):
         obs = Observability.create()
@@ -350,7 +393,7 @@ class TestFailoverMechanics:
         balancer.policy = small
         assert balancer.offer(0) and balancer.offer(1)
         assert not balancer.offer(2)
-        assert balancer.shed == 1
+        assert _count(balancer, "shed") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -444,8 +487,8 @@ class TestRunTrace:
         obs = Observability.create()
         balancer = _toy_fleet(shards, replicas, policy, obs.metrics)
         completions = balancer.run_trace(trace, ticks=_PROP_TICKS, crashes=crashes)
-        assert balancer.offered == len(trace)
-        assert len(trace) == len(completions) + balancer.shed
+        assert _count(balancer, "offered") == len(trace)
+        assert len(trace) == len(completions) + _count(balancer, "shed")
         assert balancer.idle()
         assert obs.metrics.value("serve.fleet.routing_errors") == 0
 
@@ -471,4 +514,4 @@ class TestRunTrace:
         balancer = _toy_fleet(1, 1, policy, None)
         balancer.run_trace(np.array([[0, 3], [1, 4]]), ticks=2)
         assert len(balancer.completions) == 2
-        assert balancer.shed == 0 and balancer.idle()
+        assert _count(balancer, "shed") == 0 and balancer.idle()

@@ -74,7 +74,9 @@ class TestAdmission:
         )
         assert server.offer(0) >= 0 and server.offer(1) >= 0
         assert server.offer(2) == -1
-        assert server.shed_count == 1 and server.admitted == 2 and server.offered == 3
+        m = server.metrics
+        assert m.value("serve.shed", policy=REJECT_NEWEST) == 1
+        assert m.value("serve.admitted") == 2 and m.value("serve.offered") == 3
         assert server.queue_len == 2
 
     def test_shed_oldest_keeps_queue_fresh(self):
@@ -88,7 +90,9 @@ class TestAdmission:
         assert third >= 0  # newest always admitted
         assert server.take_shed() == [first]
         assert server.take_shed() == []  # drained
-        assert server.shed_count == 1 and server.admitted == 3
+        m = server.metrics
+        assert m.value("serve.shed", policy=SHED_OLDEST) == 1
+        assert m.value("serve.admitted") == 3
 
     def test_shed_counter_labelled_by_policy(self):
         metrics = MetricsRegistry()
@@ -106,6 +110,37 @@ class TestAdmission:
             ServePolicy(shed="drop-all")
         with pytest.raises(ValueError):
             ServePolicy(queue_depth=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("top_k", 0),
+            ("top_k", -3),
+            ("max_batch", 0),
+            ("batch_window_ticks", -1),
+            ("tick_s", 0.0),
+            ("tick_s", -1e-3),
+            ("tick_s", float("nan")),
+        ],
+    )
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServePolicy(**{field: value})
+
+    def test_zero_batch_window_allowed(self):
+        assert ServePolicy(batch_window_ticks=0).batch_window_ticks == 0
+
+    def test_to_dict_field_order(self):
+        assert list(ServePolicy().to_dict()) == [
+            "top_k", "queue_depth", "max_batch", "batch_window_ticks", "shed", "tick_s",
+        ]
+
+    def test_labels_scope_the_counters(self):
+        metrics = MetricsRegistry()
+        server = RecServer(_StubEnclave(), metrics=metrics, labels={"replica": 7})
+        server.offer(0)
+        assert metrics.value("serve.offered", replica=7) == 1
+        assert metrics.value("serve.offered") == 0
 
 
 class TestBatching:
@@ -200,13 +235,9 @@ class TestEpcPressure:
         )
         server.offer(0)
         server.drain()
-        assert server.page_faults > 0
-        assert metrics.value("serve.epc.page_faults") == pytest.approx(
-            server.page_faults
-        )
-        assert metrics.value("tee.epc.page_faults", stage="serve") == pytest.approx(
-            server.page_faults
-        )
+        faults = metrics.value("serve.epc.page_faults")
+        assert faults > 0
+        assert metrics.value("tee.epc.page_faults", stage="serve") == faults
         assert metrics.gauge("tee.epc.overcommit_ratio").value > 1.0
 
     def test_within_share_no_faults(self):
@@ -216,7 +247,7 @@ class TestEpcPressure:
         )
         server.offer(0)
         server.drain()
-        assert server.page_faults == 0
+        assert server.metrics.value("serve.epc.page_faults") == 0
 
     def test_paging_slows_the_same_workload_down(self):
         def serve_once(epc):

@@ -93,6 +93,15 @@ def test_spec_validation():
         TrafficSpec(flash_duration=0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("peak_rate", -1.0), ("peak_rate", float("nan")), ("ticks", -5), ("n_users", 0)],
+)
+def test_out_of_range_field_named(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrafficSpec(**{field: value})
+
+
 def test_spec_to_dict_round_trip():
     spec = TrafficSpec(seed=4, peak_rate=12.0)
     assert TrafficSpec(**spec.to_dict()) == spec

@@ -1,6 +1,7 @@
 """Seeded workloads: trace determinism, Zipf skew, open-loop drive."""
 
 import numpy as np
+import pytest
 
 from repro.serve.server import ServePolicy
 from repro.serve.workload import WorkloadGenerator, WorkloadSpec, trace_digest
@@ -45,11 +46,24 @@ class TestShape:
         assert counts.min() > 0.5 * counts.max()
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rate", -1.0), ("rate", float("nan")), ("ticks", -1), ("n_users", 0)],
+    )
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(**{field: value})
+
+    def test_zero_rate_is_an_empty_trace(self):
+        assert len(WorkloadGenerator(WorkloadSpec(rate=0.0)).trace()) == 0
+
+
 class TestDrivers:
     def test_open_loop_offers_whole_trace(self):
         spec = WorkloadSpec(seed=1, n_users=20, ticks=30, rate=2.0)
         trace = WorkloadGenerator(spec).trace()
         balancer, replica = _stub_endpoint(ServePolicy(queue_depth=10_000), len(trace))
         completions = balancer.run_trace(trace, ticks=spec.ticks)
-        assert replica.server.offered == len(trace)
+        assert replica.total("serve.offered") == len(trace)
         assert len(completions) == len(trace)  # nothing shed at this depth

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.sim.fleet_scale import FleetScaleRunner, GossipFleetSim, write_fleet_bench
+from repro.sim.fleet_scale import (
+    TIMED_PASSES,
+    FleetScaleRunner,
+    GossipFleetSim,
+    write_fleet_bench,
+)
 from repro.sim.kernel import EventKernel
 
 
@@ -86,6 +91,22 @@ class TestFleetScaleRunner:
         assert loaded == json.loads(json.dumps(doc))
         assert loaded["schema"] == "repro.fleet_bench/v1"
         assert len(loaded["points"]) == 2
+
+    def test_reports_median_of_timed_passes(self):
+        # One wall per timed pass; the memory pass never reads the clock.
+        walls = iter([5.0, 1.0, 3.0, 2.0, 4.0, 7.0, 6.0])
+        state = {"t": 0.0, "start": True}
+
+        def clock():
+            if not state["start"]:
+                state["t"] += next(walls)
+            state["start"] = not state["start"]
+            return state["t"]
+
+        (point,) = FleetScaleRunner((32,), clock=clock, cycles=5).run()
+        assert TIMED_PASSES == 7
+        assert point.wall_s == 4.0
+        assert point.steps_per_s == round(point.sim_steps / 4.0, 1)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):

@@ -171,7 +171,7 @@ SERVE_COMPLETIONS_DIGEST = (
 
 
 def test_serve_trace_golden():
-    from repro.serve.server import ServePolicy
+    from repro.serve.server import SHED_OLDEST, ServePolicy
     from repro.serve.workload import WorkloadGenerator, WorkloadSpec
     from repro.sim.kernel import EventKernel
     from tests.serve.test_server import _stub_endpoint
@@ -184,7 +184,7 @@ def test_serve_trace_golden():
 
         assert len(completions) == SERVE_COMPLETIONS
         assert replica.server.tick == SERVE_TICKS
-        assert replica.server.shed_count == 0
+        assert replica.total("serve.shed", policy=SHED_OLDEST) == 0
         assert (
             _rows_digest((c.request_id, c.user, c.finish_s.hex()) for c in completions)
             == SERVE_COMPLETIONS_DIGEST

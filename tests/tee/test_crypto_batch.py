@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
-from repro.core.channel import AccountedChannel, PlaintextChannel, SecureChannel, seal_all
+from repro.core.channel import (
+    AccountedChannel,
+    PlaintextChannel,
+    ReplayError,
+    SecureChannel,
+    seal_all,
+)
 from repro.core.messages import KIND_PAYLOAD
 from repro.data.movielens import MovieLensSpec, generate_movielens
 from repro.data.partition import partition_users_across_nodes
@@ -208,6 +214,64 @@ class TestBackends:
                 cipher.decrypt(_nonce(1), bytes(wire), b"hdr")
         finally:
             set_aead_backend(None)
+
+
+#: Frames a receiver accepts before the tampered one: its replay
+#: high-water mark sits at ``_WARM_FRAMES - 1``, so a flipped low
+#: sequence bit can land at, below or above it.
+_WARM_FRAMES = 3
+
+
+def _tampered_open(backend, length, index, bit):
+    """Seal one frame under ``backend``, open a bit-flipped copy, then the
+    genuine frame.  Returns ``(genuine wire, rejection type)``."""
+    set_aead_backend(backend)
+    try:
+        tx = SecureChannel(_key(5), local_id=1, peer_id=2)
+        rx = SecureChannel(_key(5), local_id=2, peer_id=1)
+        for i in range(_WARM_FRAMES):
+            rx.open(tx.seal(b"warm-%d" % i, b"h"), b"h")
+        payload = _payload(5, length)
+        genuine = tx.seal(payload, b"h")
+        tampered = bytearray(genuine)
+        tampered[index] ^= 1 << bit
+        with pytest.raises((AeadError, ReplayError)) as rejected:
+            rx.open(bytes(tampered), b"h")
+        # A refused frame must not move the replay high-water mark ...
+        assert rx._highest_received == _WARM_FRAMES - 1
+        # ... so the genuine frame still opens afterwards.
+        assert rx.open(genuine, b"h") == payload
+        return genuine, rejected.type
+    finally:
+        set_aead_backend(None)
+
+
+@st.composite
+def _tamper_positions(draw):
+    length = draw(st.sampled_from([0, 383, 384, 385]) | st.integers(0, 1024))
+    # Anywhere in ``seq | ciphertext | tag``.
+    index = draw(st.integers(0, 8 + length + TAG_LENGTH - 1))
+    return length, index, draw(st.integers(0, 7))
+
+
+class TestTamperAcrossBackends:
+    """A flipped bit anywhere in a :class:`SecureChannel` frame is refused
+    with the same exception type by the numpy and native backends; the
+    native half is skipped without ``cryptography``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_tamper_positions())
+    def test_numpy_rejects_without_advancing_replay_mark(self, position):
+        _tampered_open("numpy", *position)
+
+    @pytest.mark.skipif(not native_available(), reason="cryptography not installed")
+    @settings(max_examples=80, deadline=None)
+    @given(_tamper_positions())
+    def test_native_rejects_like_numpy(self, position):
+        numpy_wire, numpy_rejected = _tampered_open("numpy", *position)
+        native_wire, native_rejected = _tampered_open("native", *position)
+        assert native_wire == numpy_wire
+        assert native_rejected is numpy_rejected
 
 
 class TestCounterOverflow:

@@ -159,6 +159,28 @@ class TestCommands:
         assert code == 2
         assert "outside the fleet's 2 nodes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--top-k", "-3"], "top_k"),
+            (["--requests-per-tick", "-1"], "rate"),
+            (["--fleet", "--top-k", "0"], "top_k"),
+            (["--fleet", "--peak-rate", "-2"], "peak_rate"),
+        ],
+    )
+    def test_serve_inputs_rejected_before_training(self, capsys, monkeypatch, extra, field):
+        import repro.serve.fleet.runner as fleet_runner
+        import repro.serve.runner as serve_runner
+
+        def no_training(**_kwargs):
+            raise AssertionError("trained before validating its inputs")
+
+        monkeypatch.setattr(serve_runner, "train_fleet_model", no_training)
+        monkeypatch.setattr(fleet_runner, "train_fleet_model", no_training)
+        code = main(["serve", "--users", "20", "--ticks", "10", *extra])
+        assert code == 2
+        assert field in capsys.readouterr().out
+
     def test_fleet_bench_small(self, capsys, tmp_path):
         import json
 
