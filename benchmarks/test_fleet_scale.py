@@ -1,81 +1,193 @@
-"""Fleet-scaling benchmark -- writes ``BENCH_fleet.json``.
+"""Fleet-scale benchmark -- writes ``BENCH_fleet.json``.
 
-Not a paper figure: the paper's evaluation stops near 100 nodes, and the
-ROADMAP's north star needs evidence that the event kernel sustains
-1k-10k node fleets.  This file sweeps the kernel-driven gossip
-experiment across fleet sizes (256/1k/4k by default) and records nodes
-vs sim-steps/s and peak resident bytes.
+The paper's scale result is its 610-node MF fleet (Fig. 1): one user per
+node, D-PSGD on a small world, every node merging only with its graph
+neighbours.  This lane runs exactly that fleet on
+:class:`~repro.sim.fleet.MfFleetSim` under both sharing schemes and
+gates the wall-clock speed of the simulator on it:
 
-The JSON artifact is uploaded by the ``fleet-bench`` CI job, which fails
-if whole-fleet scheduling throughput drops below a pinned floor.  Knobs
-for slower hardware / different lanes:
+- synthetic MovieLens-Latest, split 0.7, seed 0;
+- :func:`~repro.data.partition.partition_one_user_per_node`, 610 nodes;
+- ``Topology.small_world(610, k=4, seed=0)``;
+- D-PSGD, ``share_points=300``, 5 epochs, DATA and MODEL.
 
-- ``REPRO_BENCH_FLEET_SIZES``  comma-separated fleet sizes (CI runs the
-  256-node point; the full 256/1k/4k curve is the local default)
-- ``REPRO_BENCH_FLEET_FLOOR_SPS``  sim-steps/s floor (default 1.5M; a
-  2-core x86 host measures a 6-10M median at 256 nodes)
+The MODEL run is the configuration of perfbench's ``sim-model-610``
+workload, so its RMSE pin is that workload's seed-0 pin.
+
+Per scheme, :data:`TIMED_PASSES` passes each build a fresh sim outside
+the clock and run it inside; the report carries the median
+node-epochs/s.  Every pass must dispatch the same kernel trace
+(``kernel.trace_digest()``) and end on the pinned final test RMSE
+(``float.hex``).  One extra untimed pass runs under :mod:`tracemalloc`
+for the peak traced bytes of building and running the sim (the tracer
+slows execution, so it never touches the throughput number).
+
+**One BLAS thread.**  The dense MODEL merge sums in an order that
+follows BLAS threading, so the MODEL pin holds only with
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``
+set to 1 (the DATA bits do not depend on it).  The ``fleet-sim-bench``
+CI job sets all three.
+
+Sizes, epochs, floors and pins are constants of this file; the JSON
+artifact is uploaded by the ``fleet-sim-bench`` CI job.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
+import tracemalloc
 
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
-from repro.sim.fleet_scale import FleetScaleRunner, write_fleet_bench
+from repro.core.config import Dissemination, RexConfig, SharingScheme
+from repro.data.movielens import MOVIELENS_LATEST, generate_movielens
+from repro.data.partition import partition_one_user_per_node
+from repro.net.topology import Topology
+from repro.sim.fleet import MfFleetSim
 
 OUTPUT = "BENCH_fleet.json"
+SCHEMA = "repro.fleet_sim_bench/v1"
 
-SIZES = [
-    int(s)
-    for s in os.environ.get("REPRO_BENCH_FLEET_SIZES", "256,1024,4096").split(",")
-    if s.strip()
-]
-CYCLES = int(os.environ.get("REPRO_BENCH_FLEET_CYCLES", "40"))
+SEED = 0
+NODES = 610
+EPOCHS = 5
+SHARE_POINTS = 300
+TIMED_PASSES = 7
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: Whole-fleet scheduling throughput floor (sim node-steps per second),
-#: checked against each size's median of seven timed passes.  A 2-core
-#: x86 host measures 6-10M steps/s at 256 nodes and more at larger sizes;
-#: the floor sits 4-7x under that, close enough to fail on a real
-#: regression and far enough for a noisy shared CI runner.
-FLOOR_SPS = float(os.environ.get("REPRO_BENCH_FLEET_FLOOR_SPS", "1500000"))
+#: Final test RMSE of every pass, exact.
+RMSE_PINS = {
+    SharingScheme.DATA: "0x1.16b02a582ca25p+0",
+    SharingScheme.MODEL: "0x1.16ad697ebd72cp+0",
+}
+#: Median node-epochs/s floors.  A 2-core x86 host with one BLAS thread
+#: measures ~2,150-2,300 (DATA) and ~360-390 (MODEL); the floors sit
+#: 2.4-2.6x under that.
+FLOOR_NODE_EPOCHS_PER_S = {SharingScheme.DATA: 900.0, SharingScheme.MODEL: 150.0}
+#: Ceilings on the peak traced MiB of one build + run: 1.24x the
+#: measured 311 MiB (DATA) and 994 MiB (MODEL).  Traced bytes count the
+#: NumPy and Python heap only, not the interpreter or BLAS buffers.
+PEAK_CEILING_MIB = {SharingScheme.DATA: 385.0, SharingScheme.MODEL: 1230.0}
 
 
-def test_fleet_scaling_curve():
-    runner = FleetScaleRunner(SIZES, clock=time.perf_counter, cycles=CYCLES, seed=0)
-    points = runner.run()
-    doc = write_fleet_bench(
-        points, OUTPUT, seed=0, cycles=CYCLES, floor_steps_per_s=FLOOR_SPS
+def _build(scheme: SharingScheme, split) -> MfFleetSim:
+    config = RexConfig(
+        scheme=scheme,
+        dissemination=Dissemination.DPSGD,
+        epochs=EPOCHS,
+        share_points=SHARE_POINTS,
+        seed=SEED,
     )
-    assert json.loads(json.dumps(doc))["schema"] == "repro.fleet_bench/v1"
+    return MfFleetSim(
+        partition_one_user_per_node(split.train),
+        partition_one_user_per_node(split.test),
+        Topology.small_world(NODES, k=4, seed=SEED),
+        config,
+        global_mean=split.train.global_mean(),
+    )
 
-    rows = [
-        [
-            str(p.nodes),
-            f"{p.steps_per_s:,.0f}",
-            f"{p.peak_traced_bytes / 1e6:.2f}",
-            f"{p.coverage:.3f}",
-            p.trace_digest[:12],
-        ]
-        for p in points
-    ]
+
+def _timed_pass(scheme: SharingScheme, split):
+    """(wall s, node-epochs, trace digest, final RMSE bits) of one fresh sim."""
+    sim = _build(scheme, split)
+    t0 = time.perf_counter()
+    result = sim.run()
+    wall = time.perf_counter() - t0
+    return (
+        wall,
+        NODES * len(result.records),
+        sim.kernel.trace_digest(),
+        float(result.records[-1].test_rmse).hex(),
+    )
+
+
+def _peak_mib(scheme: SharingScheme, split) -> float:
+    """Peak traced MiB of building and running one sim."""
+    tracemalloc.start()
+    try:
+        _build(scheme, split).run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _measure(scheme: SharingScheme, split) -> dict:
+    passes = [_timed_pass(scheme, split) for _ in range(TIMED_PASSES)]
+    digests = {digest for _, _, digest, _ in passes}
+    if len(digests) != 1:
+        raise RuntimeError(f"{scheme.name} timed passes dispatched different traces: {digests}")
+    rmse_bits = {bits for _, _, _, bits in passes}
+    if len(rmse_bits) != 1:
+        raise RuntimeError(f"{scheme.name} timed passes ended on different RMSEs: {rmse_bits}")
+    walls = [wall for wall, _, _, _ in passes]
+    node_epochs = passes[0][1]
+    return {
+        "scheme": scheme.name,
+        "node_epochs": node_epochs,
+        "wall_s": [round(w, 4) for w in walls],
+        "median_wall_s": round(statistics.median(walls), 4),
+        "node_epochs_per_s": round(node_epochs / statistics.median(walls), 1),
+        "rmse_bits": passes[0][3],
+        "trace_digest": passes[0][2],
+        "peak_traced_mib": round(_peak_mib(scheme, split), 1),
+    }
+
+
+def test_fleet_sim_610():
+    split = generate_movielens(MOVIELENS_LATEST, seed=SEED).split(0.7, seed=SEED)
+    lanes = {scheme: _measure(scheme, split) for scheme in RMSE_PINS}
+
+    doc = {
+        "schema": SCHEMA,
+        "seed": SEED,
+        "nodes": NODES,
+        "epochs": EPOCHS,
+        "share_points": SHARE_POINTS,
+        "timed_passes": TIMED_PASSES,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "unit": "node-epochs per wall-clock second (median of timed passes)",
+        "floors": {s.name: FLOOR_NODE_EPOCHS_PER_S[s] for s in lanes},
+        "peak_ceiling_mib": {s.name: PEAK_CEILING_MIB[s] for s in lanes},
+        "lanes": [lanes[s] for s in lanes],
+    }
+    with open(OUTPUT, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
     emit(
         format_table(
-            ["nodes", "sim-steps/s", "peak MB", "coverage", "trace"],
-            rows,
-            title=f"Fleet scaling, {CYCLES} cycles/size (artifact: {OUTPUT})",
+            ["scheme", "median s", "node-epochs/s", "floor", "peak MiB", "rmse", "trace"],
+            [
+                [
+                    lane["scheme"],
+                    f"{lane['median_wall_s']:.2f}",
+                    f"{lane['node_epochs_per_s']:,.0f}",
+                    f"{FLOOR_NODE_EPOCHS_PER_S[s]:,.0f}",
+                    f"{lane['peak_traced_mib']:.0f}",
+                    lane["rmse_bits"],
+                    lane["trace_digest"][:12],
+                ]
+                for s, lane in lanes.items()
+            ],
+            title=f"MfFleetSim, {NODES} nodes x {EPOCHS} epochs (artifact: {OUTPUT})",
         )
     )
 
-    # Every point is a real, seeded experiment that actually disseminated.
-    for point in points:
-        assert point.sim_steps == point.nodes * CYCLES
-        assert point.messages > 0 and point.coverage > 1.0 / point.nodes
-
-    slowest = min(points, key=lambda p: p.steps_per_s)
-    assert slowest.steps_per_s >= FLOOR_SPS, (
-        f"fleet scheduling regressed: {slowest.nodes}-node fleet ran "
-        f"{slowest.steps_per_s:,.0f} sim-steps/s, below the {FLOOR_SPS:,.0f} floor"
-    )
+    threads = ", ".join(f"{var}={os.environ.get(var)}" for var in BLAS_THREAD_VARS)
+    for scheme, lane in lanes.items():
+        assert lane["node_epochs"] == NODES * EPOCHS
+        assert lane["rmse_bits"] == RMSE_PINS[scheme], (
+            f"{scheme.name} final RMSE moved: {lane['rmse_bits']} != {RMSE_PINS[scheme]} "
+            f"(the pins hold with one BLAS thread; here {threads})"
+        )
+        assert lane["node_epochs_per_s"] >= FLOOR_NODE_EPOCHS_PER_S[scheme], (
+            f"{scheme.name} fleet sim regressed: {lane['node_epochs_per_s']:,.0f} "
+            f"node-epochs/s, below the {FLOOR_NODE_EPOCHS_PER_S[scheme]:,.0f} floor"
+        )
+        assert lane["peak_traced_mib"] <= PEAK_CEILING_MIB[scheme], (
+            f"{scheme.name} fleet sim memory grew: {lane['peak_traced_mib']:.1f} MiB "
+            f"peak, above the {PEAK_CEILING_MIB[scheme]:.1f} MiB ceiling"
+        )

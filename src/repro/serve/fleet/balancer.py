@@ -11,9 +11,9 @@ fleet's traffic-facing invariants:
   ``user % replicas``), so repeat queries hit the same result cache;
 - **failover is snapshot-version-aware**: a query only falls over to a
   replica that is alive *and* serving the shard's freshest live version,
-  so a stale replica (one that refused a rollback via
-  :class:`~repro.tee.errors.SnapshotReplayError`, or missed a publish
-  while down) never answers with an old model;
+  so a stale replica (one whose enclave refused a publish via
+  :class:`~repro.tee.errors.SnapshotReplayError` and so serves a version
+  other than the shard's) never answers with the wrong model;
 - a **crashed replica loses no admitted work**: its queued requests are
   evicted back into the global queue (counted as failovers) and re-route
   at the same tick.
@@ -332,11 +332,15 @@ class FleetBalancer:
     def publish(self, shard: int, load_args: dict, version: int) -> None:
         """Push a new snapshot to every live replica of ``shard``.
 
-        A replica that refuses the load (replay defense tripped -- e.g.
-        the "new" version is actually a rollback) is marked stale and
-        drops out of the candidate set until a good publish lands.
+        A replica may refuse the load (replay defense tripped: the
+        version is at or below one its enclave already served).  After
+        the publish a live replica is stale -- out of the candidate set
+        until a good publish lands -- exactly when it serves a version
+        other than the shard's, so refusing a repeat or a rollback of the
+        shard's current version leaves it routable.
         """
         version = int(version)
+        self.shard_version[shard] = max(self.shard_version[shard], version)
         for replica in self.replicas[shard]:
             if not replica.alive:
                 continue
@@ -344,8 +348,7 @@ class FleetBalancer:
                 replica.load(load_args, version)
             except SnapshotReplayError:
                 self._stale_rejected.inc()
-                replica.stale = True
-        self.shard_version[shard] = max(self.shard_version[shard], version)
+            replica.stale = replica.version != self.shard_version[shard]
 
     # ------------------------------------------------------------------ #
     @property

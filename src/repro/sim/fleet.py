@@ -10,9 +10,12 @@ once* (the HPC guide's "vectorize the outer loop" rule):
   all nodes simultaneously: node parameters live in ``(n_nodes * n_users,
   k)`` flattened arrays and each node's batch indexes its own slice.
 - **D-PSGD merge** -- the Metropolis-Hastings averaging of every node is
-  one sparse-matrix product: ``P' = (W @ (P * seen)) / (W @ seen)`` with
-  ``W`` the (n_nodes x n_nodes) MH weight matrix (mask renormalization
-  implements the paper's missing-embedding rule).
+  one dense matrix product per parameter group:
+  ``P' = (W @ (P * seen)) / (W @ seen)`` with ``W`` the (n_nodes x
+  n_nodes) MH weight matrix held dense (mask renormalization implements
+  the paper's missing-embedding rule).  ``W`` is sparse (on a k=4 small
+  world only ~1% of it is nonzero); a CSR merge is an open ROADMAP item
+  ("Sparse neighbour merge in ``MfFleetSim``").
 - **test** -- all nodes' local test sets are concatenated once and every
   epoch evaluates them in a single gather + einsum.
 
@@ -205,8 +208,11 @@ class MfFleetSim:
         self._masks_saturated = False
         if config.dissemination is Dissemination.DPSGD:
             self._mh_matrix, self._adj_matrix = self._build_weight_matrices()
-            # Dense form for the merge matmul: at fleet scale the BLAS
-            # GEMM beats the sparse kernel (n_nodes is only hundreds).
+            # Dense form for the merge matmul.  Its sum order follows
+            # BLAS threading, so the merged bits hold only at a fixed
+            # thread count; the CSR product that would avoid both the
+            # dense n x n work and that dependence is the open
+            # "Sparse neighbour merge" ROADMAP item.
             self._mh_dense = self._mh_matrix.toarray()
 
         #: Per-node resident model bytes (dense parameters + masks).

@@ -69,7 +69,7 @@ class Event:
 
     ``fn`` takes no arguments -- context rides in the closure.  ``kind``
     names the event taxonomy entry (``fleet.epoch``, ``net.tick``,
-    ``faults.tick``, ``serve.tick``, ``gossip.cycle``, ...); ``key`` is
+    ``faults.tick``, ``serve.tick``, ...); ``key`` is
     the intrinsic same-timestamp ordering key.
     """
 

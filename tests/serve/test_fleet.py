@@ -295,20 +295,24 @@ def _mini_fleet(metrics=None):
     ring = HashRing([0])
     policy = FleetPolicy(shard=ServePolicy(batch_window_ticks=1))
     replicas = []
+    fleet = {}
     for r in range(2):
         platform = Platform(f"mini-r{r}", AttestationService())
 
         def factory(incarnation, _platform=platform, _r=r):
+            # A fresh incarnation boots on the shard's current snapshot.
             enclave = _platform.create_enclave(
                 ShardEnclaveApp, f"mini-shard0-r{_r}-i{incarnation}"
             )
-            enclave.ecall("ecall_load", payload(1))
+            enclave.ecall("ecall_load", payload(fleet["balancer"].shard_version[0]))
             return enclave
 
         replicas.append(
             ShardReplica(0, r, factory, policy=policy.shard, metrics=metrics)
         )
-    balancer = FleetBalancer(ring, {0: replicas}, policy=policy, metrics=metrics)
+    balancer = fleet["balancer"] = FleetBalancer(
+        ring, {0: replicas}, policy=policy, metrics=metrics
+    )
     balancer.shard_version[0] = 1
     for replica in replicas:
         replica.boot(0, 1)
@@ -394,6 +398,55 @@ class TestFailoverMechanics:
         assert balancer.offer(0) and balancer.offer(1)
         assert not balancer.offer(2)
         assert _count(balancer, "shed") == 1
+
+
+_FLEET_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("publish"), st.integers(1, 6)),
+        st.tuples(st.just("kill"), st.integers(0, 1)),
+        st.tuples(st.just("restart"), st.integers(0, 1)),
+    ),
+    max_size=10,
+)
+
+
+class TestSnapshotVersions:
+    @settings(max_examples=50, deadline=None)
+    @given(_FLEET_OPS)
+    def test_versions_only_move_forward(self, ops):
+        """Publishes (forward, repeated or rolled back), crashes and
+        restarts never move the shard's version back, every live replica
+        is stale exactly when it serves another version, and routing
+        never hands a stale replica a request."""
+        balancer, replicas, payload = _mini_fleet()
+        for tick, (op, arg) in enumerate(ops, start=1):
+            before = balancer.shard_version[0]
+            if op == "publish":
+                balancer.publish(0, payload(arg), arg)
+            elif op == "kill":
+                balancer.kill_replica(0, arg)
+            else:
+                balancer.restart_replica(0, arg, tick=tick)
+            current = balancer.shard_version[0]
+            assert current >= before
+
+            for replica in replicas:
+                if not replica.alive:
+                    continue
+                served = replica.server.enclave.ecall("ecall_shard_status")["version"]
+                assert served == replica.version
+                assert replica.stale == (replica.version != current)
+
+            queued = [r.server.queue_len if r.alive else 0 for r in replicas]
+            for user in range(6):
+                balancer.offer(user)
+            balancer.route_pending()
+            for replica, was in zip(replicas, queued):
+                if replica.alive and replica.stale:
+                    assert replica.server.queue_len == was
+            balancer.shed_pending()  # no live fresh replica: drop, do not carry
+            for _ in range(8):
+                balancer.step_shard(0)
 
 
 # --------------------------------------------------------------------- #
