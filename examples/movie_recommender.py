@@ -98,7 +98,7 @@ def main():
     # ------------------------------------------------------------------ #
     policy = ServePolicy(top_k=TOP_K)
     replica = ShardReplica(
-        0, 0, lambda _incarnation: enclave,
+        0, 0, lambda _incarnation: (enclave, meta),
         policy=policy, epc=platform.epc, metrics=obs.metrics,
     )
     workload = WorkloadSpec(seed=0, n_users=SPEC.n_users, ticks=150, rate=5.0)
@@ -108,7 +108,7 @@ def main():
         policy=FleetPolicy(queue_depth=max(1, len(trace)), shard=policy),
         metrics=obs.metrics,
     )
-    replica.boot(0, meta["version"])
+    replica.boot(0)
     completions = balancer.run_trace(trace, ticks=workload.ticks)
     latencies = [c.latency_s for c in completions]
     summary = ServeReport.latency_summary(latencies)

@@ -366,9 +366,7 @@ class RexEnclaveApp(TrustedApp):
             self._count_fault("faults.suspected", peer=peer)
 
     def _count_fault(self, name: str, **labels: object) -> None:
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.counter(name, node=self.node_id, **labels).inc()
+        self.ctx.metrics.counter(name, node=self.node_id, **labels).inc()
 
     # ------------------------------------------------------------------ #
     # Attestation (Section III-A)
@@ -439,9 +437,7 @@ class RexEnclaveApp(TrustedApp):
 
     def _bind_channel(self, channel):
         """Attach the run's registry so channel bytes land in obs."""
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            channel.bind_metrics(metrics, node=self.node_id)
+        channel.bind_metrics(self.ctx.metrics, node=self.node_id)
         return channel
 
     def _maybe_start(self) -> None:
@@ -899,9 +895,7 @@ class RexEnclaveApp(TrustedApp):
                 self.ctx.ocall("send_as", clone, neighbor, KIND_PAYLOAD, wire)
 
     def _count_attack(self, kind: str, amount: int = 1) -> None:
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.counter("attack.injected", node=self.node_id, kind=kind).inc(amount)
+        self.ctx.metrics.counter("attack.injected", node=self.node_id, kind=kind).inc(amount)
 
     # ------------------------------------------------------------------ #
     # Memory accounting

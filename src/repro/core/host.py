@@ -48,7 +48,7 @@ class RexHost:
         #: (clone id -> endpoint); the ``send_as`` ocall routes over them.
         self.sybil_endpoints: Dict[int, Endpoint] = {}
         self._on_stats = on_stats
-        self._counter_mark = self.enclave.counters.snapshot()
+        self._counter_mark = self.enclave.counters
         self._register_ocalls()
 
     def _register_ocalls(self) -> None:
@@ -81,7 +81,7 @@ class RexHost:
     def _ocall_report_stats(self, stats: EpochStats) -> None:  # repro-lint: disable=REX-B004
         # Attach the boundary-crossing counts accumulated since the last
         # report; the SGX cost model charges transitions from these.
-        counters = self.enclave.counters.snapshot()
+        counters = self.enclave.counters
         delta = counters.delta(self._counter_mark)
         self._counter_mark = counters
         stats.ecalls = delta.ecalls
@@ -148,7 +148,7 @@ class RexHost:
         self.enclave = self.platform.create_enclave(
             RexEnclaveApp, f"rex-node-{self.node_id}.boot{self.boot}"
         )
-        self._counter_mark = self.enclave.counters.snapshot()
+        self._counter_mark = self.enclave.counters
         self._register_ocalls()
         self.bootstrap(
             config,

@@ -17,7 +17,7 @@ schedules, different seeds must not.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro._rng import child_rng
 from repro.core.messages import KIND_QUOTE
@@ -41,12 +41,10 @@ class FaultInjector:
         self.plan = plan
         self.seed = int(seed)
         self._rng = child_rng(self.seed, "faults", plan.name)
-        self._metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
         self._network: Optional[Network] = None
         #: Chronological, human-readable fault schedule (digest input).
         self.events: List[str] = []
-        #: Injected-fault tallies by kind (mirrors ``faults.injected``).
-        self.counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -137,9 +135,7 @@ class FaultInjector:
         self._count(kind)
 
     def _count(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self._metrics is not None:
-            self._metrics.counter("faults.injected", kind=kind).inc()
+        self.metrics.counter("faults.injected", kind=kind).inc()
 
     def schedule_digest(self) -> str:
         """SHA-256 over the chronological fault schedule."""

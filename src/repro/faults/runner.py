@@ -485,7 +485,7 @@ def run_chaos(
         scheme=scheme.value,
         dissemination=dissemination.value,
         schedule_digest=injector.schedule_digest(),
-        injected=dict(injector.counts),
+        injected={k_: int(v) for k_, v in _kind_breakdown(metrics, "faults.injected").items()},
         recovered=metrics.total("faults.recovered"),
         lost=metrics.total("faults.lost"),
         retries=metrics.total("net.retries"),

@@ -1,12 +1,13 @@
 """Metric primitives and the registry that owns them.
 
-One process-wide (or per-cluster) :class:`MetricsRegistry` replaces the
-scattered ad-hoc accounting the evaluation grew up with (``EpochStats``
-fields, ``TrafficMeter`` dicts, ``TransitionCounters``): every layer
-registers named, labelled counters, gauges and fixed-bucket histograms in
-the same place, and the whole state can be snapshotted to plain JSON,
-restored, and merged across nodes -- the aggregation step a multi-process
-deployment needs to produce one ``metrics.json`` per run.
+One process-wide (or per-cluster) :class:`MetricsRegistry` is the home
+of a run's counts: ``TrafficMeter``, ``Enclave.counters`` and the serve
+and chaos reports read theirs back from it rather than keeping tallies
+of their own.  Every layer registers named, labelled counters, gauges
+and fixed-bucket histograms in the same place, and the whole state can
+be snapshotted to plain JSON, restored, and merged across nodes -- the
+aggregation step a multi-process deployment needs to produce one
+``metrics.json`` per run.
 
 Design constraints (why this is not a Prometheus client):
 

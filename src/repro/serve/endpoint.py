@@ -204,8 +204,7 @@ class ServeEnclaveApp(TrustedApp):
         if args.get("require_newer"):
             self._monotonic = True
         if getattr(self, "_monotonic", False) and snapshot.version <= high_water:
-            metrics = MetricsRegistry.ensure(self.ctx.metrics)
-            metrics.counter("faults.rejected", kind="replay_snapshot").inc()
+            self.ctx.metrics.counter("faults.rejected", kind="replay_snapshot").inc()
             raise SnapshotReplayError(
                 "snapshot load refused: version is at or below the served "
                 "high-water mark"

@@ -89,17 +89,17 @@ class ShardReplica:
     """One replica of one shard: enclave incarnations + its RecServer.
 
     The ``enclave_factory`` callable (provided by the runner, which owns
-    the platform and the shard's current load payload) boots a fresh
-    enclave incarnation already loaded with the shard's current
-    snapshot; the replica itself only tracks liveness and the version it
-    serves.
+    the platform and the shard's load payload) boots a fresh enclave
+    incarnation, loads it and returns ``(enclave, meta)`` with the
+    ``ecall_load`` reply; the replica itself only tracks liveness and
+    the version that reply says the incarnation serves.
     """
 
     def __init__(
         self,
         shard_id: int,
         replica_id: int,
-        enclave_factory: Callable[[int], Enclave],
+        enclave_factory: Callable[[int], Tuple[Enclave, dict]],
         *,
         policy: Optional[ServePolicy] = None,
         costs: Optional[ServeCostModel] = None,
@@ -133,17 +133,18 @@ class ShardReplica:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def boot(self, tick: int, version: int) -> None:
-        """Stand up a fresh enclave incarnation serving ``version``."""
+    def boot(self, tick: int) -> None:
+        """Stand up a fresh enclave incarnation at the version it loaded."""
+        enclave, meta = self._factory(self.incarnation)
         self.server = self._new_server(
-            self._factory(self.incarnation),
+            enclave,
             labels={**self.labels, "incarnation": self.incarnation},
         )
         self.incarnation += 1
         self.server.tick = int(tick)
         self.alive = True
         self.stale = False
-        self.version = int(version)
+        self.version = int(meta["version"])
 
     def kill(self) -> List[int]:
         """Crash the replica; returns the queued users needing failover."""
@@ -155,10 +156,10 @@ class ShardReplica:
             self.server = None
         return queued
 
-    def restart(self, tick: int, version: int) -> None:
-        """Re-join the fleet with a fresh incarnation at ``version``."""
+    def restart(self, tick: int) -> None:
+        """Re-join the fleet with a fresh incarnation."""
         self._restarts.inc()
-        self.boot(tick, version)
+        self.boot(tick)
 
     def load(self, load_args: dict, version: int) -> dict:
         """Publish a new snapshot into the live incarnation.
@@ -323,11 +324,12 @@ class FleetBalancer:
         return len(queued)
 
     def restart_replica(self, shard: int, replica_id: int, tick: int) -> None:
-        """Restart a crashed replica at the shard's current version."""
+        """Restart a crashed replica; stale unless it loaded the shard's version."""
         replica = self.replicas[shard][replica_id]
         if replica.alive:
             return
-        replica.restart(tick, self.shard_version[shard])
+        replica.restart(tick)
+        replica.stale = replica.version != self.shard_version[shard]
 
     def publish(self, shard: int, load_args: dict, version: int) -> None:
         """Push a new snapshot to every live replica of ``shard``.

@@ -265,8 +265,7 @@ def run_fleet_experiment(
         enclave = platform.create_enclave(
             ShardEnclaveApp, f"shard{shard}-r{replica}-i{incarnation}"
         )
-        enclave.ecall("ecall_load", load_args[shard])
-        return enclave
+        return enclave, enclave.ecall("ecall_load", load_args[shard])
 
     replica_map: Dict[int, List[ShardReplica]] = {}
     for shard in ring.shard_ids:
@@ -296,7 +295,7 @@ def run_fleet_experiment(
     for shard in ring.shard_ids:
         balancer.shard_version[shard] = version
         for replica in replica_map[shard]:
-            replica.boot(0, version)
+            replica.boot(0)
 
     # The serving kernel is built here, through this module's name, so
     # callers can swap in an instrumented subclass.

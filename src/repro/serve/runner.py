@@ -184,7 +184,7 @@ def run_serving_experiment(
     replica = ShardReplica(
         0,
         0,
-        lambda _incarnation: enclave,
+        lambda _incarnation: (enclave, meta),
         policy=policy,
         costs=costs,
         sgx=sgx,
@@ -197,7 +197,7 @@ def run_serving_experiment(
         policy=FleetPolicy(queue_depth=max(1, len(trace)), shard=policy),
         metrics=obs.metrics,
     )
-    replica.boot(0, 1)
+    replica.boot(0)
     completions = balancer.run_trace(trace, ticks=workload.ticks)
 
     # Cache effectiveness of the *load phase* only: the quality probe

@@ -134,17 +134,18 @@ class TrustedMemory:
         return dict(self._allocations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionCounters:
-    """Counts of boundary crossings and the bytes marshalled across them."""
+    """Counts of boundary crossings and the bytes marshalled across them.
+
+    A value read from the enclave's registry series (see
+    :attr:`Enclave.counters`); the registry is the only tally.
+    """
 
     ecalls: int = 0
     ocalls: int = 0
     ecall_bytes: int = 0
     ocall_bytes: int = 0
-
-    def snapshot(self) -> "TransitionCounters":
-        return TransitionCounters(self.ecalls, self.ocalls, self.ecall_bytes, self.ocall_bytes)
 
     def delta(self, earlier: "TransitionCounters") -> "TransitionCounters":
         """Crossings since ``earlier`` (used for per-stage accounting)."""
@@ -169,8 +170,8 @@ class EnclaveContext:
         self.memory = TrustedMemory()
 
     @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The shared observability registry, when the host wired one."""
+    def metrics(self) -> MetricsRegistry:
+        """The enclave's registry: the host's shared one, or its own."""
         return self._enclave.metrics
 
     @property
@@ -235,8 +236,13 @@ class Enclave:
         self.platform = platform
         self.enclave_id = enclave_id
         self.measurement = measure_class(trusted_class)
-        self.counters = TransitionCounters()
-        self.metrics = metrics
+        self.metrics = MetricsRegistry.ensure(metrics)
+        counter = self.metrics.counter
+        self._ecall_count = counter("tee.enclave.ecalls", enclave=enclave_id)
+        self._ecall_bytes = counter("tee.enclave.ecall.bytes", enclave=enclave_id)
+        self._ocall_count = counter("tee.enclave.ocalls", enclave=enclave_id)
+        self._ocall_bytes = counter("tee.enclave.ocall.bytes", enclave=enclave_id)
+        self._resident = self.metrics.gauge("tee.enclave.resident.bytes", enclave=enclave_id)
         self._attestation_service = attestation_service
         self._ocall_handlers: Dict[str, Callable] = {}
         self._context = EnclaveContext(self)
@@ -253,6 +259,16 @@ class Enclave:
         return self._context.memory
 
     @property
+    def counters(self) -> TransitionCounters:
+        """Crossings so far, read from this enclave's registry series."""
+        return TransitionCounters(
+            int(self._ecall_count.value),
+            int(self._ocall_count.value),
+            int(self._ecall_bytes.value),
+            int(self._ocall_bytes.value),
+        )
+
+    @property
     def exported_ecalls(self) -> tuple:
         return tuple(sorted(self._ecalls))
 
@@ -261,11 +277,10 @@ class Enclave:
         self._ocall_handlers[name] = handler
 
     def _count_violation(self, kind: str) -> None:
-        """Record a refused boundary crossing in the shared registry."""
-        if self.metrics is not None:
-            self.metrics.counter(
-                "tee.enclave.violations", enclave=self.enclave_id, kind=kind
-            ).inc()
+        """Record a refused boundary crossing in the registry."""
+        self.metrics.counter(
+            "tee.enclave.violations", enclave=self.enclave_id, kind=kind
+        ).inc()
 
     def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave through a named entry point."""
@@ -273,23 +288,14 @@ class Enclave:
         if handler is None:
             self._count_violation("unknown_ecall")
             raise UnknownEcall(f"enclave {self.enclave_id!r} exports no ecall {name!r}")
-        crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
-        self.counters.ecalls += 1
-        self.counters.ecall_bytes += crossing_bytes
-        if self.metrics is not None:
-            self.metrics.counter("tee.enclave.ecalls", enclave=self.enclave_id).inc()
-            self.metrics.counter("tee.enclave.ecall.bytes", enclave=self.enclave_id).inc(
-                crossing_bytes
-            )
+        self._ecall_bytes.inc(_marshalled_size(args) + _marshalled_size(kwargs))
+        self._ecall_count.inc()
         self._in_enclave = True
         try:
             return handler(*args, **kwargs)
         finally:
             self._in_enclave = False
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "tee.enclave.resident.bytes", enclave=self.enclave_id
-                ).set(self.memory.resident_bytes)
+            self._resident.set(self.memory.resident_bytes)
 
     def _dispatch_ocall(self, name: str, args: tuple, kwargs: dict) -> Any:
         if not self._in_enclave:
@@ -299,14 +305,8 @@ class Enclave:
         if handler is None:
             self._count_violation("unknown_ocall")
             raise UnknownOcall(f"host registered no ocall {name!r}")
-        crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
-        self.counters.ocalls += 1
-        self.counters.ocall_bytes += crossing_bytes
-        if self.metrics is not None:
-            self.metrics.counter("tee.enclave.ocalls", enclave=self.enclave_id).inc()
-            self.metrics.counter("tee.enclave.ocall.bytes", enclave=self.enclave_id).inc(
-                crossing_bytes
-            )
+        self._ocall_bytes.inc(_marshalled_size(args) + _marshalled_size(kwargs))
+        self._ocall_count.inc()
         # Untrusted code runs outside the enclave; re-entering through a
         # nested ecall is not modelled (REX does not need it).
         self._in_enclave = False

@@ -16,6 +16,9 @@ Three layers of assertion:
   of the identical fault-free run.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import Dissemination, SharingScheme
@@ -134,6 +137,18 @@ def test_report_serializes(chaos_seed):
     assert doc["plan"] == "lossy"
     assert doc["injected_total"] == report.injected_total
     assert len(report.format_lines()) >= 5
+
+
+#: SHA-256 of the ``repro.chaos/v1`` document (``sort_keys``) for
+#: ``mixed-churn`` at seed 7, 4 nodes, 2 epochs.  Fixed seed on purpose:
+#: it pins the report bytes, not the schedule's seed-independence.
+CHAOS_REPORT_DIGEST = "83b5e2541b6f1edda353660395dde2aebe25f5628efa7be593b29e31aeb4a2f4"
+
+
+def test_report_bytes_pinned():
+    report = run_chaos("mixed-churn", seed=7, nodes=4, epochs=2)
+    blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CHAOS_REPORT_DIGEST
 
 
 def test_unknown_plan_rejected():

@@ -268,8 +268,12 @@ def _count(balancer, name):
     return balancer.metrics.value(f"serve.fleet.{name}")
 
 
-def _mini_fleet(metrics=None):
-    """One shard, two replicas over toy arrays; returns the balancer."""
+def _mini_fleet(metrics=None, boot_version=None):
+    """One shard, two replicas over toy arrays; returns the balancer.
+
+    Incarnations boot on the shard's current snapshot, or always on
+    ``boot_version`` when given (a host restarting from an old payload).
+    """
     owned = np.arange(12, dtype=np.int64)
     arrays = _toy_arrays(n_users=12)
 
@@ -304,8 +308,8 @@ def _mini_fleet(metrics=None):
             enclave = _platform.create_enclave(
                 ShardEnclaveApp, f"mini-shard0-r{_r}-i{incarnation}"
             )
-            enclave.ecall("ecall_load", payload(fleet["balancer"].shard_version[0]))
-            return enclave
+            version = boot_version or fleet["balancer"].shard_version[0]
+            return enclave, enclave.ecall("ecall_load", payload(version))
 
         replicas.append(
             ShardReplica(0, r, factory, policy=policy.shard, metrics=metrics)
@@ -315,7 +319,7 @@ def _mini_fleet(metrics=None):
     )
     balancer.shard_version[0] = 1
     for replica in replicas:
-        replica.boot(0, 1)
+        replica.boot(0)
     return balancer, replicas, payload
 
 
@@ -355,6 +359,23 @@ class TestFailoverMechanics:
         while not balancer.idle():
             balancer.step_shard(0)
         assert len(balancer.completions) == 1
+
+    def test_restart_on_old_payload_is_stale(self):
+        """After a publish, a replica restarted on the v1 payload serves
+        v1: it must be stale and out of routing, not routed as current."""
+        balancer, replicas, payload = _mini_fleet(boot_version=1)
+        balancer.publish(0, payload(3), 3)
+        balancer.kill_replica(0, 1)
+        balancer.restart_replica(0, 1, tick=5)
+        reborn = replicas[1]
+        served = reborn.server.enclave.ecall("ecall_shard_status")["version"]
+        assert served == reborn.version == 1
+        assert reborn.stale and not replicas[0].stale
+        for user in range(6):
+            balancer.offer(user)
+        balancer.route_pending()
+        assert reborn.server.queue_len == 0
+        assert replicas[0].server.queue_len == 6
 
     def test_stale_replica_rejected_and_skipped(self):
         balancer, replicas, payload = _mini_fleet()
@@ -481,8 +502,7 @@ def _toy_fleet(shards, replicas, policy, metrics):
             enclave = _platform.create_enclave(
                 ShardEnclaveApp, f"prop-s{_s}-{len(_platform.enclaves)}"
             )
-            enclave.ecall("ecall_load", _load)
-            return enclave
+            return enclave, enclave.ecall("ecall_load", _load)
 
         replica_map[shard] = [
             ShardReplica(shard, r, factory, policy=policy.shard, metrics=metrics)
@@ -492,7 +512,7 @@ def _toy_fleet(shards, replicas, policy, metrics):
     for shard, reps in replica_map.items():
         balancer.shard_version[shard] = 1
         for replica in reps:
-            replica.boot(0, 1)
+            replica.boot(0)
     return balancer
 
 

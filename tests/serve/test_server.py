@@ -56,13 +56,15 @@ def _stub_endpoint(policy, trace_len):
     The front door holds the whole trace, so only ``policy`` sheds --
     the single-endpoint serving setup.  Returns ``(balancer, replica)``.
     """
-    replica = ShardReplica(0, 0, lambda _incarnation: _StubEnclave(), policy=policy)
+    replica = ShardReplica(
+        0, 0, lambda _incarnation: (_StubEnclave(), {"version": 1}), policy=policy
+    )
     balancer = FleetBalancer(
         HashRing([0]),
         {0: [replica]},
         policy=FleetPolicy(queue_depth=max(1, trace_len), shard=policy),
     )
-    replica.boot(0, 1)
+    replica.boot(0)
     return balancer, replica
 
 

@@ -7,8 +7,9 @@ to the kernel path until then), so any scheduling change that moves a
 byte or a float bit fails here:
 
 - cluster at 8 and 32 nodes: epochs completed, per-epoch per-node
-  ``shared_payload_bytes`` and ``test_rmse`` bit patterns (``float.hex``)
-  and ``total_network_bytes``;
+  ``shared_payload_bytes`` and ``test_rmse`` bit patterns (``float.hex``),
+  per-epoch per-node enclave crossings (``ecalls``, ``ocalls``,
+  ``transition_bytes``) and ``total_network_bytes``;
 - fleet simulator: every :class:`~repro.sim.recorder.EpochRecord` field,
   floats as ``float.hex``, plus the kernel trace digest;
 - serving: the completion schedule of the one serving driver
@@ -69,26 +70,31 @@ def _cluster_run(tiny_split, n_nodes):
 
 
 #: n_nodes -> (epochs, per-epoch payload bytes summed over nodes,
-#: total_network_bytes, digest of (epoch, node, payload bytes, rmse.hex())).
+#: total_network_bytes, digest of (epoch, node, payload bytes, rmse.hex()),
+#: digest of (epoch, node, ecalls, ocalls, transition_bytes)).
 CLUSTER_GOLDEN = {
     8: (
         3,
         [16576, 16576, 16576],
         64904,
         "24fdcd0588731ea4672fae6dda43469e285e1d235ec3ce73ac1a3dea1a6ac352",
+        "08c399e5a22700a8e4782c2fb9f40159f27a2928ec76fba5a9b83b264536c85e",
     ),
     32: (
         3,
         [56832, 56832, 56832],
         206614,
         "fb1838a460833e681c0b6b1fb6d1ebdaac0126498d4854b2528a46ede1dc6086",
+        "832435b0546b31535d7d070e18c9b15c812f07ffb3b8c7c4ea03373a4d18e93a",
     ),
 }
 
 
 @pytest.mark.parametrize("n_nodes", [8, 32])
 def test_cluster_kernel_golden(tiny_split, n_nodes):
-    epochs, payload_per_epoch, total_bytes, rows_digest = CLUSTER_GOLDEN[n_nodes]
+    epochs, payload_per_epoch, total_bytes, rows_digest, transitions_digest = (
+        CLUSTER_GOLDEN[n_nodes]
+    )
     run = _cluster_run(tiny_split, n_nodes)
 
     assert run.epochs_completed == epochs
@@ -105,6 +111,13 @@ def test_cluster_kernel_golden(tiny_split, n_nodes):
     ]
     assert len(rows) == epochs * n_nodes
     assert _rows_digest(rows) == rows_digest
+    # The per-epoch enclave crossings the host hands to the SGX cost model.
+    transitions = [
+        (epoch, s.node_id, s.ecalls, s.ocalls, s.transition_bytes)
+        for epoch in range(epochs)
+        for s in run.stats_for_epoch(epoch)
+    ]
+    assert _rows_digest(transitions) == transitions_digest
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.tee import (
     AttestationService,
     BoundaryViolation,
@@ -102,12 +103,39 @@ class TestOcallBoundary:
 
     def test_counter_delta(self, enclave):
         enclave.register_ocall("emit", lambda data: data)
-        mark = enclave.counters.snapshot()
+        mark = enclave.counters
         enclave.ecall("relay", b"x")
         enclave.ecall("double", 1)
         delta = enclave.counters.delta(mark)
         assert delta.ecalls == 2
         assert delta.ocalls == 1
+
+    def test_counters_read_the_registry(self):
+        """Private or shared registry, the crossings are counted once and
+        ``counters`` reads back exactly the ``tee.enclave.*`` series."""
+        shared = MetricsRegistry()
+        service = AttestationService()
+        enclaves = [
+            Platform("machine-A", service).create_enclave(EchoApp, "echo-1"),
+            Platform("machine-B", service, metrics=shared).create_enclave(EchoApp, "echo-1"),
+        ]
+        for enclave in enclaves:
+            enclave.register_ocall("emit", lambda data: data)
+            enclave.ecall("relay", b"12345678")
+            enclave.ecall("double", 21)
+            enclave.ecall("relay", b"xyz")
+        private, bound = (enclave.counters for enclave in enclaves)
+        assert private == bound
+        assert (private.ecalls, private.ocalls) == (3, 2)
+        assert [
+            shared.value(name, enclave="echo-1")
+            for name in (
+                "tee.enclave.ecalls",
+                "tee.enclave.ocalls",
+                "tee.enclave.ecall.bytes",
+                "tee.enclave.ocall.bytes",
+            )
+        ] == [bound.ecalls, bound.ocalls, bound.ecall_bytes, bound.ocall_bytes]
 
 
 class TestTrustedMemory:
